@@ -21,7 +21,7 @@ class ContractError(ValueError):
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
@@ -143,9 +143,13 @@ class Tensor:
 
     # -- elementwise functions ------------------------------------------
 
+    # exp and sqrt close over their output array, never over `out`: a closure
+    # holding `out` is a reference cycle that keeps the whole tape (im2col
+    # buffers included) alive until the cyclic collector runs.
     def exp(self):
-        out = Tensor(np.exp(self.data), _parents=(self,), _op="exp")
-        out._backward = lambda g: (g * out.data,)
+        e = np.exp(self.data)
+        out = Tensor(e, _parents=(self,), _op="exp")
+        out._backward = lambda g: (g * e,)
         return out
 
     def log(self):
@@ -154,8 +158,9 @@ class Tensor:
         return out
 
     def sqrt(self):
-        out = Tensor(np.sqrt(self.data), _parents=(self,), _op="sqrt")
-        out._backward = lambda g: (g * 0.5 / out.data,)
+        r = np.sqrt(self.data)
+        out = Tensor(r, _parents=(self,), _op="sqrt")
+        out._backward = lambda g: (g * 0.5 / r,)
         return out
 
     def abs(self):
@@ -220,13 +225,9 @@ class Tensor:
         out = Tensor(np.take(self.data, idx, axis=axis), _parents=(self,), _op="take")
 
         def bw(g):
+            # unbuffered scatter-add: a repeated index accumulates in order
             gi = np.zeros_like(self.data)
-            sl = [slice(None)] * self.data.ndim
-            for j, i in enumerate(idx):
-                sl[axis] = i
-                gsl = [slice(None)] * g.ndim
-                gsl[axis] = j
-                gi[tuple(sl)] += g[tuple(gsl)]
+            np.add.at(np.moveaxis(gi, axis, 0), idx, np.moveaxis(g, axis, 0))
             return (gi,)
 
         out._backward = bw
@@ -289,16 +290,17 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         gd = g[None] if squeeze else g
         gcols = gd.reshape(b, cout, ho * wo).transpose(0, 2, 1)   # (B, P, Cout)
         gw = np.einsum("bpo,bpk->ok", gcols, cols).reshape(w.data.shape)
+        if not x.requires_grad:
+            return (None, gw)
         gx_cols = gcols @ wflat                                   # (B, P, Cin*kh*kw)
         gwin = gx_cols.reshape(b, ho, wo, cin, kh, kw)
         gxp = np.zeros_like(xp)
-        hs = np.arange(ho) * stride
-        ws = np.arange(wo) * stride
+        # within one tap (i, j) the strided windows never overlap, so a
+        # slice += adds each tap in the same order as a scatter-add would
         for i in range(kh):
             for j in range(kw):
-                np.add.at(gxp, (slice(None), slice(None),
-                                hs[:, None] + i, ws[None, :] + j),
-                          gwin[:, :, :, :, i, j].transpose(0, 3, 1, 2))
+                gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                    gwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
         gx = gxp[:, :, padding:padding + h, padding:padding + wd_]
         return (gx[0] if squeeze else gx, gw)
 
@@ -323,7 +325,7 @@ def grad(scalar: Tensor, leaves) -> list:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
     grads = {id(scalar): np.ones(())}

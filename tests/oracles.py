@@ -61,6 +61,30 @@ def conv2d_naive(x, w, stride=1, padding=0):
     return out[0] if single else out
 
 
+def conv2d_input_grad_addat(g, w, x_shape, stride=1, padding=0):
+    """Input gradient of the im2col conv2d: the (B, P, Cin*k*k) column
+    gradient scattered back with one np.add.at per kernel tap (i, j)."""
+    g = np.asarray(g, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    single = len(x_shape) == 3
+    gd = g[None] if single else g
+    b, cin, h, wd = (1, *x_shape) if single else x_shape
+    cout, _, kh, kw = w.shape
+    ho, wo = gd.shape[2], gd.shape[3]
+    gcols = gd.reshape(b, cout, ho * wo).transpose(0, 2, 1)
+    gwin = (gcols @ w.reshape(cout, -1)).reshape(b, ho, wo, cin, kh, kw)
+    gxp = np.zeros((b, cin, h + 2 * padding, wd + 2 * padding))
+    hs = np.arange(ho) * stride
+    ws = np.arange(wo) * stride
+    for i in range(kh):
+        for j in range(kw):
+            np.add.at(gxp, (slice(None), slice(None),
+                            hs[:, None] + i, ws[None, :] + j),
+                      gwin[:, :, :, :, i, j].transpose(0, 3, 1, 2))
+    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+    return gx[0] if single else gx
+
+
 def circulant_conv_matrix(w, spatial):
     """Dense matrix of the stride-1 circular-padding convolution operator.
 

@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from dde.tensor import (Tensor, Rng, NumericError, ContractError,
                         grad, conv2d, AdamState, adam_step)
 
-from oracles import fd_grad, rel_err, conv2d_naive, adam_reference
+from oracles import (fd_grad, rel_err, conv2d_naive, adam_reference,
+                     conv2d_input_grad_addat)
 
 
 def check_grad(build, x0, tol=1e-4, h=1e-5):
@@ -60,6 +64,23 @@ class TestElementwiseGrads:
         (g,) = grad((x.take([0, 2], axis=-1) ** 2).sum(), [x])
         expected = np.array([[0.0, 0.0, 4.0], [6.0, 0.0, 10.0]])
         assert np.allclose(g.data, expected)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_take_grad_repeated_index_matches_loop(self, axis):
+        x0 = Rng(3).normal((4, 5, 3))
+        idx = [2, 0, 2, 1, 2]
+        idx = [i % x0.shape[axis] for i in idx]
+        x = Tensor(x0, requires_grad=True)
+        up = Rng(4).normal(np.take(x0, idx, axis=axis).shape)
+        (g,) = grad((x.take(idx, axis=axis) * up).sum(), [x])
+        want = np.zeros_like(x0)
+        for j, i in enumerate(idx):
+            sl = [slice(None)] * 3
+            sl[axis] = i
+            gsl = [slice(None)] * 3
+            gsl[axis] = j
+            want[tuple(sl)] += up[tuple(gsl)]
+        assert np.array_equal(g.data, want)
 
 
 class TestBroadcastGrads:
@@ -117,6 +138,32 @@ class TestConv2d:
         assert rel_err(gw.data, fd_grad(fw, w0)) <= 1e-4
 
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_input_grad_bit_equal_to_scatter_add(self, stride, padding, k, batched):
+        rng = Rng(5)
+        shape = (2, 3, 7, 6) if batched else (3, 7, 6)
+        x0, w0 = rng.normal(shape), rng.normal((4, 3, k, k))
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        out = conv2d(x, w, stride=stride, padding=padding)
+        up = rng.normal(out.shape)
+        gx, gw = grad((out * up).sum(), [x, w])
+        want = conv2d_input_grad_addat(up, w0, shape, stride, padding)
+        assert np.array_equal(gx.data, want)
+
+        # an input off the tape gets no gradient, the kernel the same one
+        x_const = Tensor(x0)
+        out2 = conv2d(x_const, w, stride=stride, padding=padding)
+        gx2, gw2 = out2._backward(up)
+        assert gx2 is None
+        assert np.array_equal(gw2, gw.data)
+        (gw3,) = grad((out2 * up).sum(), [w])
+        assert np.array_equal(gw3.data, gw.data)
+
+
 class TestGradContract:
     def test_root_must_be_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -128,6 +175,24 @@ class TestGradContract:
         y = Tensor(2.0, requires_grad=True)
         (gy,) = grad((x * x).sum(), [y])
         assert np.allclose(gy.data, 0.0)
+
+    def test_tape_freed_without_cycle_collector(self):
+        # the backward closures must not refer back to their own node, or a
+        # dropped graph lives on until the cyclic collector runs
+        gc.disable()
+        try:
+            x = Tensor(np.array([0.5, 1.0, 2.0]), requires_grad=True)
+            e = (x * 0.5).exp()
+            r = (e + 1.0).sqrt()
+            alive = [weakref.ref(e.data), weakref.ref(r.data)]
+            loss = (r * e).sum()
+            del e, r
+            (g,) = grad(loss, [x])
+            assert all(ref() is not None for ref in alive)
+            del loss
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            gc.enable()
 
     def test_nonfinite_raises_with_op_name(self):
         x = Tensor(np.array([0.0]))
