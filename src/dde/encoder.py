@@ -52,30 +52,53 @@ class GaussianLatent:
     logvar: Tensor
 
 
+def _standardize_forward(w: np.ndarray, gain: float):
+    """Scaled weight standardization of an array over its fan-in axes.
+
+    Returns (out, centered, std, denom) with out = centered * (gain / denom).
+    The op order (per-axis sum * (1/n), w + (-mu), gain / denom, then the
+    product) is the order the tape ran before this was fused, so a given
+    weight standardizes to the same bits.
+    """
+    axes = range(1, w.ndim)
+    mu = w
+    for a in axes:
+        mu = mu.sum(axis=a, keepdims=True) * (1.0 / w.shape[a])
+    centered = w + (-mu)
+    var = centered * centered
+    for a in axes:
+        var = var.sum(axis=a, keepdims=True) * (1.0 / w.shape[a])
+    std = np.sqrt(var + 1e-24)
+    denom = std * math.sqrt(w[0].size) + (std < 1e-12) * 1e-6
+    return centered * (gain / denom), centered, std, denom
+
+
 def standardize(w: Tensor, gain: float) -> Tensor:
     """Scaled weight standardization over the fan-in dimensions.
 
     Returns gain * (W - mean) / (std * sqrt(fan_in)); a 1e-6 stabilizer is
-    added to the denominator for degenerate (constant) filters.  Runs on the
-    tape so gradients flow through the normalization.
+    added to the denominator for degenerate (constant) filters.  One tape
+    node with a closed-form backward, so gradients flow through the
+    normalization.
     """
     axes = tuple(range(1, w.data.ndim))
     if not axes:
         raise ContractError("standardize expects a weight with >=1 input dim")
-    alpha = int(np.prod([w.data.shape[a] for a in axes]))
-    mu = w.mean(axis=axes[0], keepdims=True) if len(axes) == 1 else None
-    if mu is None:
-        mu = w
-        for a in axes:
-            mu = mu.mean(axis=a, keepdims=True)
-    centered = w - mu
-    var = (centered * centered)
-    for a in axes:
-        var = var.mean(axis=a, keepdims=True)
-    std = (var + 1e-24).sqrt()
-    stab = (std.data < 1e-12) * 1e-6
-    denom = std * math.sqrt(alpha) + Tensor(stab)
-    return centered * (gain / denom)
+    out_d, centered, std, denom = _standardize_forward(w.data, gain)
+    alpha = w.data[0].size
+
+    def bw(g):
+        # y = c * s with c = w - mean(w), s = gain / (sqrt(alpha) * std + stab)
+        # and std = sqrt(mean(c^2) + 1e-24); the stabilizer is a constant
+        scale = gain / denom
+        g_scale = (g * centered).sum(axis=axes, keepdims=True)
+        g_var = g_scale * (-scale / denom) * math.sqrt(alpha) * 0.5 / std
+        g_c = g * scale + g_var * (2.0 / alpha) * centered
+        return (g_c - g_c.mean(axis=axes, keepdims=True),)
+
+    out = Tensor(out_d, _parents=(w,), _op="standardize")
+    out._backward = bw
+    return out
 
 
 class EncoderModel:
@@ -133,7 +156,7 @@ class EncoderModel:
             elif spec.standardized:
                 # standardization is scale-invariant in W, so an oversized
                 # initial operator can only be shrunk through the gain
-                eff = _standardized_data(w, spec.gain)
+                eff = _standardize_forward(w, spec.gain)[0]
                 sn = conv_singular_values(eff, spatial[li]).values[0] if spec.kind == "conv" \
                     else np.linalg.svd(eff, compute_uv=False)[0]
                 if sn > bound:
@@ -178,16 +201,7 @@ class EncoderModel:
         """The operator actually applied by layer li (standardized if set)."""
         spec = self.layers[li]
         w = self.params[li]["w"].data
-        return _standardized_data(w, spec.gain) if spec.standardized else w.copy()
-
-
-def _standardized_data(w: np.ndarray, gain: float) -> np.ndarray:
-    axes = tuple(range(1, w.ndim))
-    alpha = int(np.prod([w.shape[a] for a in axes]))
-    mu = w.mean(axis=axes, keepdims=True)
-    std = np.sqrt(((w - mu) ** 2).mean(axis=axes, keepdims=True) + 1e-24)
-    denom = std * math.sqrt(alpha) + (std < 1e-12) * 1e-6
-    return gain * (w - mu) / denom
+        return _standardize_forward(w, spec.gain)[0] if spec.standardized else w.copy()
 
 
 def build_teacher(config: dict | None = None) -> EncoderModel:

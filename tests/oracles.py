@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from dde.tensor import Tensor
+
 
 def fd_grad(f, x, h=1e-5):
     """Central-difference gradient of scalar f at array x."""
@@ -83,6 +85,25 @@ def conv2d_input_grad_addat(g, w, x_shape, stride=1, padding=0):
                       gwin[:, :, :, :, i, j].transpose(0, 3, 1, 2))
     gx = gxp[:, :, padding:padding + h, padding:padding + wd]
     return gx[0] if single else gx
+
+
+def standardize_tape(w, gain):
+    """Scaled weight standardization built from elementary tape ops, so its
+    gradient is the tape's own chain rule: gain * (w - mean) / denom with
+    denom = std * sqrt(fan_in) + 1e-6 [std < 1e-12], means over fan-in."""
+    axes = tuple(range(1, w.data.ndim))
+    alpha = int(np.prod([w.data.shape[a] for a in axes]))
+    mu = w
+    for a in axes:
+        mu = mu.mean(axis=a, keepdims=True)
+    centered = w - mu
+    var = centered * centered
+    for a in axes:
+        var = var.mean(axis=a, keepdims=True)
+    std = (var + 1e-24).sqrt()
+    stab = (std.data < 1e-12) * 1e-6
+    denom = std * math.sqrt(alpha) + Tensor(stab)
+    return centered * (gain / denom)
 
 
 def circulant_conv_matrix(w, spatial):

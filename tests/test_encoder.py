@@ -8,7 +8,7 @@ from dde.encoder import (EncoderModel, LayerSpec, CorruptWeightsError,
                          standardize, build_teacher, compress, encode, sample,
                          save_weights, load_weights, DEFAULT_GAIN)
 
-from oracles import fd_grad, rel_err
+from oracles import fd_grad, rel_err, standardize_tape
 
 
 class TestStandardize:
@@ -51,6 +51,36 @@ class TestStandardize:
             return build(Tensor(arr)).item()
 
         assert rel_err(g.data, fd_grad(f, w0)) <= 1e-4
+
+    @pytest.mark.parametrize("shape,scale", [
+        ((3, 4), 1.0), ((5, 2, 3, 3), 0.01), ((4, 3, 1, 1), 30.0), ((2, 6), 0.0),
+    ])
+    def test_fused_op_matches_tape_oracle(self, shape, scale):
+        rng = Rng(3)
+        w0 = rng.normal(shape) * scale + (3.0 if scale == 0.0 else 0.0)
+        up = rng.normal(shape)
+        w = Tensor(w0, requires_grad=True)
+        out = standardize(w, 1.7)
+        assert out._op == "standardize" and out._parents == (w,)
+        w_ref = Tensor(w0, requires_grad=True)
+        ref = standardize_tape(w_ref, 1.7)
+        # the forward repeats the tape's op order, so it is bit-equal
+        assert np.array_equal(out.data, ref.data)
+        (g,) = grad((out * up).sum(), [w])
+        (g_ref,) = grad((ref * up).sum(), [w_ref])
+        assert rel_err(g.data, g_ref.data) <= 1e-12
+        if scale:
+            # central differences carry ~1e-10 truncation error at h=1e-5 * scale
+            fd = fd_grad(lambda v: float((standardize(Tensor(v), 1.7).data * up).sum()),
+                         w0, h=1e-5 * scale)
+            assert rel_err(g.data, fd) <= 1e-8
+
+    def test_effective_kernel_is_the_encoded_kernel(self):
+        m = build_teacher({"widths": (4, 8), "latent_dim": 6, "rep_dims": {"a": [0]}})
+        for li, (spec, p) in enumerate(zip(m.layers, m.params)):
+            want = standardize(p["w"], spec.gain).data if spec.standardized else p["w"].data
+            assert np.array_equal(m.effective_kernel(li), want)
+            assert np.array_equal(m.snapshot[li], want)
 
 
 class TestModel:
