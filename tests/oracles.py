@@ -4,7 +4,9 @@ Everything here is deliberately naive: finite differences for gradients,
 quadruple loops for convolution, dense circulant matrices for operator
 spectra, pair counting for AUROC, and direct transcriptions of the
 closed-form bound expressions.  These were written and frozen before being
-compared against the package, and must stay independent of it.
+compared against the package, and must stay independent of it.  The one
+exception is `standardize_tape`: it is built from the package's elementary
+tape ops on purpose, as the chain-rule reference for the fused op.
 """
 
 import math
