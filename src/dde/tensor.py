@@ -276,10 +276,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     if kh > h + 2 * padding or kw > wd_ + 2 * padding:
         raise ContractError("kernel larger than padded input")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]          # (B, Cin, Ho, Wo, kh, kw)
-    ho, wo = win.shape[2], win.shape[3]
+    # zero padding and the strided window view are built directly: np.pad
+    # and sliding_window_view cost more in Python dispatch than in copying
+    xp = np.zeros((b, cin, h + 2 * padding, wd_ + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + wd_] = xd
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd_ + 2 * padding - kw) // stride + 1
+    sb, sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(                  # (B, Cin, Ho, Wo, kh, kw)
+        xp, (b, cin, ho, wo, kh, kw),
+        (sb, sc, sh * stride, sw * stride, sh, sw), writeable=False)
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, cin * kh * kw)
     wflat = w.data.reshape(cout, -1)
     out_d = (cols @ wflat.T).transpose(0, 2, 1).reshape(b, cout, ho, wo)
