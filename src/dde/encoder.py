@@ -193,15 +193,48 @@ class EncoderModel:
             out.extend([p["w"], p["b"]])
         return out
 
+    # layer index -> (weight array, gain, folded kernel); None until frozen
+    _folded = None
+
+    @property
+    def frozen(self) -> bool:
+        return self._folded is not None
+
     def freeze(self) -> None:
+        """Take the weights off the tape and make them read-only, so that
+        each standardized kernel is folded once and reused by every encode."""
+        if self.frozen:
+            return
         for t in self.trainable():
             t.requires_grad = False
+            t.data.flags.writeable = False
+        self._folded = {}
 
     def effective_kernel(self, li: int) -> np.ndarray:
-        """The operator actually applied by layer li (standardized if set)."""
+        """The operator actually applied by layer li (standardized if set).
+
+        On a frozen model a standardized kernel is computed once and returned
+        read-only; it is folded again if the weight array or the gain changed.
+        """
         spec = self.layers[li]
         w = self.params[li]["w"].data
-        return _standardize_forward(w, spec.gain)[0] if spec.standardized else w.copy()
+        if not spec.standardized:
+            return w.copy()
+        if not self.frozen:
+            return _standardize_forward(w, spec.gain)[0]
+        return self._folded_kernel(li).data
+
+    def _folded_kernel(self, li: int) -> Tensor:
+        # kept as a Tensor so that encode checks the kernel for non-finite
+        # values once, when it is folded, not on every call
+        spec = self.layers[li]
+        w = self.params[li]["w"].data
+        hit = self._folded.get(li)
+        if hit is None or hit[0] is not w or hit[1] != spec.gain:
+            eff = _standardize_forward(w, spec.gain)[0]
+            eff.flags.writeable = False
+            hit = self._folded[li] = (w, spec.gain, Tensor(eff))
+        return hit[2]
 
 
 def build_teacher(config: dict | None = None) -> EncoderModel:
@@ -275,7 +308,9 @@ def encode(model: EncoderModel, x) -> GaussianLatent:
     """Pure function of (weights, x); logvar is smoothly bounded to
     [-LOGVAR_BOUND, LOGVAR_BOUND] via tanh.
 
-    Accepts a Tensor or array of shape (C,H,W) or (B,C,H,W).
+    Accepts a Tensor or array of shape (C,H,W) or (B,C,H,W).  A frozen
+    model runs its folded kernels; any other model differentiates through
+    the standardization.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -283,8 +318,13 @@ def encode(model: EncoderModel, x) -> GaussianLatent:
     h = x if batched else x.reshape(1, *x.shape)
     head_inputs = None
     heads = []
-    for spec, p in zip(model.layers, model.params):
-        w = standardize(p["w"], spec.gain) if spec.standardized else p["w"]
+    for li, (spec, p) in enumerate(zip(model.layers, model.params)):
+        if not spec.standardized:
+            w = p["w"]
+        elif model.frozen:
+            w = model._folded_kernel(li)
+        else:
+            w = standardize(p["w"], spec.gain)
         if spec.kind == "conv":
             h = conv2d(h, w, stride=spec.stride, padding=spec.padding)
             h = h + p["b"].reshape(1, -1, 1, 1)
@@ -353,6 +393,7 @@ def save_weights(model: EncoderModel, path: str, meta: dict | None = None) -> No
 
 
 def load_weights(path: str) -> EncoderModel:
+    """Read a weight file written by save_weights; the model is frozen."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
@@ -398,4 +439,5 @@ def load_weights(path: str) -> EncoderModel:
         model.snapshot.append(read(shape))
     if model.parameter_count() != header["parameter_count"]:
         raise CorruptWeightsError(f"{path}: parameter count mismatch")
+    model.freeze()
     return model

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dde.tensor import Tensor, Rng, grad
+from dde.tensor import Tensor, Rng, grad, adam_step, AdamState, NumericError
 from dde.data import ConfigError
 from dde import encoder
 from dde.encoder import (EncoderModel, LayerSpec, CorruptWeightsError,
@@ -248,3 +248,77 @@ class TestWeightFile:
         open(path, "wb").write(blob[:len(blob) // 2])
         with pytest.raises(CorruptWeightsError):
             load_weights(path)
+
+
+def _small_teacher():
+    return build_teacher({"widths": (8, 16, 32), "latent_dim": 16,
+                          "rep_dims": {"haze": [3], "backdrop": [6]}, "seed": 5})
+
+
+class TestFreeze:
+    @pytest.mark.parametrize("student", [False, True])
+    def test_frozen_encode_bit_equal(self, student):
+        m = compress(_small_teacher(), 0.5, seed=5) if student else _small_teacher()
+        rng = Rng(7)
+        xs = [rng.uniform(0.0, 1.0, (3, 32, 32)), rng.uniform(0.0, 1.0, (6, 3, 32, 32))]
+        want = [encode(m, x) for x in xs]
+        m.freeze()
+        for x, w in zip(xs, want):
+            got = encode(m, x)
+            assert np.array_equal(got.mu.data, w.mu.data)
+            assert np.array_equal(got.logvar.data, w.logvar.data)
+            assert not got.mu.requires_grad
+
+    def test_load_weights_returns_frozen_read_only(self, tmp_path):
+        path = str(tmp_path / "m.bin")
+        save_weights(_small_teacher(), path)
+        m = load_weights(path)
+        assert m.frozen
+        for t in m.trainable():
+            assert not t.requires_grad and not t.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.params[0]["w"].data[0, 0, 0, 0] = 1.0
+        grads = [Tensor(np.ones(t.shape)) for t in m.trainable()]
+        with pytest.raises(ValueError, match="read-only"):
+            adam_step(m.trainable(), grads, AdamState(), 1e-3)
+
+    def test_effective_kernel_folds_once(self, monkeypatch):
+        m = _small_teacher()
+        want = [m.effective_kernel(li) for li in range(len(m.layers))]
+        calls = []
+        fwd = encoder._standardize_forward
+
+        def counted(w, gain):
+            calls.append(gain)
+            return fwd(w, gain)
+
+        monkeypatch.setattr(encoder, "_standardize_forward", counted)
+        m.freeze()
+        x = Rng(1).uniform(0.0, 1.0, (2, 3, 32, 32))
+        for _ in range(2):
+            encode(m, x)
+            for li, k in enumerate(want):
+                got = m.effective_kernel(li)
+                assert np.array_equal(got, k)
+                assert m.layers[li].standardized == (not got.flags.writeable)
+            m.freeze()                        # idempotent: keeps the folds
+        n_std = sum(s.standardized for s in m.layers)
+        assert len(calls) == n_std == 3
+
+        # a reassigned weight array or a changed gain is folded again
+        p = m.params[0]["w"]
+        p.data = p.data * 2.0
+        m.layers[1].gain *= 0.5
+        for li in (0, 1):
+            got = m.effective_kernel(li)
+            assert np.array_equal(got, fwd(m.params[li]["w"].data, m.layers[li].gain)[0])
+        m.effective_kernel(2)
+        assert len(calls) == n_std + 2
+
+    def test_non_finite_input_raises(self):
+        m = _small_teacher()
+        m.freeze()
+        x = np.full((3, 32, 32), 0.5)
+        x[0, 4, 4] = np.nan
+        with pytest.raises(NumericError):
+            encode(m, x)
