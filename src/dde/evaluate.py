@@ -26,19 +26,18 @@ def encode_batched(model: EncoderModel, images: np.ndarray, batch: int = 64):
 
 
 def fit_reasoners(model: EncoderModel, dataset: FactorDataset,
-                  percentile: float = 5.0, seed: int = 0,
-                  k_override: dict | None = None) -> dict:
+                  percentile: float = 5.0, seed: int = 0) -> dict:
     """One reasoner per factor, fit on the calibration split restricted to
-    that factor's representative dims; k defaults to the number of factor
-    values seen in training."""
+    that factor's representative dims; k is the number of factor values
+    seen in training."""
     cal = dataset.indices("calibration")
     mu, _ = encode_batched(model, dataset.images[cal])
     reasoners = {}
     for spec in dataset.specs:
         dims = model.rep_dims[spec.name]
-        k = (k_override or {}).get(spec.name, len(spec.train_values))
-        reasoners[spec.name] = ood.fit(mu[:, dims], k, percentile=percentile,
-                                       seed=seed, factor=spec.name, dims=dims)
+        reasoners[spec.name] = ood.fit(mu[:, dims], len(spec.train_values),
+                                       percentile=percentile, seed=seed,
+                                       factor=spec.name, dims=dims)
     return reasoners
 
 
@@ -59,18 +58,18 @@ def scoring_set(dataset: FactorDataset, factor: str):
 
 
 def factor_aurocs(model: EncoderModel, dataset: FactorDataset,
-                  percentile: float = 5.0, seed: int = 0,
-                  k_override: dict | None = None) -> dict:
-    """AUROC of each factor's reasoner on its balanced ID/OOD test set."""
-    reasoners = fit_reasoners(model, dataset, percentile, seed, k_override)
+                  reasoners: dict) -> dict:
+    """AUROC of each factor's reasoner (from fit_reasoners) on its balanced
+    ID/OOD test set."""
     out = {}
     for spec in dataset.specs:
         f = spec.name
         id_idx, ood_idx = scoring_set(dataset, f)
         idx = id_idx + ood_idx
+        # encoded per factor, in the batches this subset always used: a
+        # different batch composition changes the last bits of mu
         mu, _ = encode_batched(model, dataset.images[idx])
-        dims = model.rep_dims[f]
-        scores = [ood.score(reasoners[f], z).score for z in mu[:, dims]]
+        scores = ood._loglik(reasoners[f], mu[:, model.rep_dims[f]])
         labels = [True] * len(id_idx) + [False] * len(ood_idx)
         out[f] = ood.auroc(scores, labels)
     return out
@@ -102,24 +101,15 @@ def evaluate_models(teacher: EncoderModel, student: EncoderModel,
                     dataset: FactorDataset, percentile: float = 5.0,
                     seed: int = 0, bench_runs: int = 1000) -> dict:
     bench_imgs = dataset.images[dataset.indices("test")[:32]]
-    report = {
-        "auroc": {
-            "teacher": factor_aurocs(teacher, dataset, percentile, seed),
-            "student": factor_aurocs(student, dataset, percentile, seed),
-        },
-        "model_bytes": {
-            "teacher": teacher.parameter_bytes(),
-            "student": student.parameter_bytes(),
-        },
-        "reasoners": {
-            "teacher": {f: r.to_dict() for f, r in
-                        fit_reasoners(teacher, dataset, percentile, seed).items()},
-            "student": {f: r.to_dict() for f, r in
-                        fit_reasoners(student, dataset, percentile, seed).items()},
-        },
-        "timing": {
-            "teacher": latency_benchmark(teacher, bench_imgs, bench_runs),
-            "student": latency_benchmark(student, bench_imgs, bench_runs),
-        },
+    models = {"teacher": teacher, "student": student}
+    fits = {who: fit_reasoners(m, dataset, percentile, seed)
+            for who, m in models.items()}
+    return {
+        "auroc": {who: factor_aurocs(m, dataset, fits[who])
+                  for who, m in models.items()},
+        "model_bytes": {who: m.parameter_bytes() for who, m in models.items()},
+        "reasoners": {who: {f: r.to_dict() for f, r in fits[who].items()}
+                      for who in models},
+        "timing": {who: latency_benchmark(m, bench_imgs, bench_runs)
+                   for who, m in models.items()},
     }
-    return report

@@ -109,19 +109,18 @@ def fit(embeddings: np.ndarray, k: int, percentile: float = 5.0,
     reasoner = OodReasoner(factor, list(dims) if dims is not None else
                            list(range(pts.shape[1])),
                            weights, centers, variances, threshold=-np.inf)
-    scores = np.array([_loglik(reasoner, p) for p in pts])
-    reasoner.threshold = float(np.percentile(scores, percentile))
+    reasoner.threshold = float(np.percentile(_loglik(reasoner, pts), percentile))
     return reasoner
 
 
-def _loglik(reasoner: OodReasoner, z: np.ndarray) -> float:
-    z = np.asarray(z, dtype=np.float64)
-    diff = z[None, :] - reasoner.means
+def _loglik(reasoner: OodReasoner, z: np.ndarray) -> np.ndarray:
+    """Mixture log-likelihood of each row of z, shape (n, d) -> (n,)."""
+    diff = np.asarray(z, dtype=np.float64)[:, None, :] - reasoner.means
     log_comp = (np.log(reasoner.weights)
                 - 0.5 * (np.log(2 * np.pi * reasoner.variances)
-                         + diff ** 2 / reasoner.variances).sum(axis=1))
-    mx = log_comp.max()
-    return float(mx + np.log(np.exp(log_comp - mx).sum()))
+                         + diff ** 2 / reasoner.variances).sum(axis=2))
+    mx = log_comp.max(axis=1)
+    return mx + np.log(np.exp(log_comp - mx[:, None]).sum(axis=1))
 
 
 def score(reasoner: OodReasoner, z) -> OodVerdict:
@@ -130,7 +129,7 @@ def score(reasoner: OodReasoner, z) -> OodVerdict:
     if z.shape[0] != reasoner.means.shape[1]:
         raise ContractError(f"embedding dim {z.shape[0]} != reasoner dim "
                             f"{reasoner.means.shape[1]}")
-    s = _loglik(reasoner, z)
+    s = float(_loglik(reasoner, z[None])[0])
     return OodVerdict(s, s < reasoner.threshold)
 
 

@@ -181,6 +181,20 @@ def gaussian_mixture_loglik(z, weights, means, variances):
     return math.log(dens)
 
 
+def loglik_loop(reasoner, pts):
+    """Mixture log-likelihood, one Python call per point (the per-sample
+    form that ood._loglik vectorizes)."""
+    out = []
+    for z in np.asarray(pts, dtype=np.float64):
+        diff = z[None, :] - reasoner.means
+        log_comp = (np.log(reasoner.weights)
+                    - 0.5 * (np.log(2 * np.pi * reasoner.variances)
+                             + diff ** 2 / reasoner.variances).sum(axis=1))
+        mx = log_comp.max()
+        out.append(float(mx + np.log(np.exp(log_comp - mx).sum())))
+    return np.array(out)
+
+
 def adam_reference(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Bias-corrected Adam trajectory for a scalar parameter."""
     x, m, v = float(x0), 0.0, 0.0

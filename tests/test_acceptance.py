@@ -19,7 +19,7 @@ from dde.losses import (Margins, distill_loss, mutual_info, adapt_loss,
                         isolation_loss, bounded, hinge)
 from dde.spectral import (conv_singular_values, clip_singular_values,
                           network_lipschitz, zeta_bound, certify)
-from dde.evaluate import factor_aurocs, latency_benchmark
+from dde.evaluate import factor_aurocs, fit_reasoners, latency_benchmark
 
 from oracles import (fd_grad, rel_err, circulant_conv_matrix,
                      symmetric_kl_distill, mutual_info_closed,
@@ -95,9 +95,9 @@ def pipeline_runs():
             "dataset": ds, "teacher": teacher, "student": student,
             "ablation": ablation, "distill_secs": distill_secs,
             "auroc": {
-                "teacher": factor_aurocs(teacher, ds, seed=seed),
-                "student": factor_aurocs(student, ds, seed=seed),
-                "ablation": factor_aurocs(ablation, ds, seed=seed),
+                role: factor_aurocs(m, ds, fit_reasoners(m, ds, seed=seed))
+                for role, m in (("teacher", teacher), ("student", student),
+                                ("ablation", ablation))
             },
         }
     t0 = time.time()

@@ -8,7 +8,7 @@ from dde.data import ConfigError
 from dde import ood
 from dde.ood import OodReasoner, fit, score, auroc
 
-from oracles import auroc_paircount, gaussian_mixture_loglik
+from oracles import auroc_paircount, gaussian_mixture_loglik, loglik_loop
 
 
 class TestKmeans:
@@ -54,10 +54,24 @@ class TestGmm:
         r = fit(pts, 2, seed=0)
         lo, hi = -10.0, 16.0
         xs = np.linspace(lo, hi, 20001)[:, None]
-        dens = np.exp([ood._loglik(r, x) for x in xs])
+        dens = np.exp(ood._loglik(r, xs))
         dx = xs.ravel()[1] - xs.ravel()[0]
         integral = float((dens[1:] + dens[:-1]).sum() * dx / 2.0)
         assert integral == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("d,k", [(1, 1), (1, 3), (2, 4), (5, 2)])
+    def test_batched_loglik_bit_equal_to_loop(self, d, k):
+        rng = Rng(10 + d * k)
+        pts = rng.normal((60, d)) * 3.0 + np.arange(d)
+        r = fit(pts, k, percentile=7.0, seed=1)
+        far = rng.normal((40, d)) * 50.0     # deep in the tails too
+        for z in (pts, far):
+            want = loglik_loop(r, z)
+            got = ood._loglik(r, z)
+            assert got.shape == (len(z),)
+            assert np.array_equal(got, want)
+            assert [score(r, p).score for p in z] == want.tolist()
+        assert r.threshold == float(np.percentile(loglik_loop(r, pts), 7.0))
 
     def test_variance_floor(self):
         pts = np.array([[0.0], [0.0], [0.0], [1.0]])
