@@ -35,7 +35,7 @@ CONFIG_SCHEMA = {
                 "dual_rates", "spectral_clip", "early_stop_hinge",
                 "early_stop_dloss", "early_stop_patience"},
     "cert": {"kappa", "loss_bound", "omega", "delta", "m", "m_grid"},
-    "ood": {"percentile", "k"},
+    "ood": {"percentile"},
     "bench": {"runs"},
 }
 

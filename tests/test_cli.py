@@ -60,6 +60,12 @@ class TestConfigValidation:
         p.write_text(json.dumps({"nope": 1}))
         assert main(["gen-data", "--config", str(p), "--out", str(tmp_path / "d")]) == 2
 
+    def test_ood_k_is_not_a_config_key(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"ood": {"percentile": 5.0, "k": {"haze": 3}}}))
+        assert main(["gen-data", "--config", str(p), "--out", str(tmp_path / "d")]) == 2
+        assert "unknown config key 'k'" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "d")]) == 2
