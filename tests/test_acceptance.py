@@ -338,17 +338,24 @@ def test_6_compression_monotonicity():
                              "seed": 5})
     img = Rng(5).uniform(0.0, 1.0, (1, 3, 32, 32))
     ratios = [0.1, 0.3, 0.5, 0.7, 0.9]   # increasing compression
-    sizes, lats = [], []
-    for r in ratios:
-        st = compress(teacher, r, seed=5)
-        sizes.append(st.parameter_count() * 8)
-        lats.append(latency_benchmark(st, img, runs=1000)["p50_ms"])
+    students = [compress(teacher, r, seed=5) for r in ratios]
+    sizes = [st.parameter_count() * 8 for st in students]
+    # 1000 encodes per ratio in 50 rounds of 20, the ratio order reversed
+    # every round: on a shared machine the CPU speed can swing by tens of
+    # percent within a second, so each ratio is timed all through the test
+    # and a swing weighs on every ratio alike, not on whichever ran during it
+    rounds = [[] for _ in ratios]
+    for k in range(50):
+        order = range(len(ratios)) if k % 2 == 0 else reversed(range(len(ratios)))
+        for i in order:
+            rounds[i].append(latency_benchmark(students[i], img, runs=20)["p50_ms"])
+    lats = [float(np.median(p50s)) for p50s in rounds]
     for a, b in zip(sizes, sizes[1:]):
         assert b < a, sizes
     for a, b in zip(lats, lats[1:]):
         assert b <= a * 1.10, lats
     print(f"CRITERION 6: PASS - bytes {sizes} strictly decreasing, "
-          f"median latency ms {[round(x, 3) for x in lats]} "
+          f"median round p50 latency ms {[round(x, 3) for x in lats]} "
           f"non-increasing within 10%")
 
 
