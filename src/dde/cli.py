@@ -46,6 +46,15 @@ def _check_keys(obj: dict, allowed, ctx: str) -> None:
             raise ConfigError(f"unknown config key '{key}' in {ctx}")
 
 
+def _typed(value, kind: type, key: str):
+    """value as `kind`, or a ConfigError naming the config key.  A float key
+    also takes an int; a bool is not a number."""
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"config key '{key}' must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -61,9 +70,8 @@ def load_config(path: str) -> dict:
         if not isinstance(cfg[section], dict):
             raise ConfigError(f"config section '{section}' must be an object")
         _check_keys(cfg[section], allowed, f"section '{section}'")
-    counts = cfg.get("data", {}).get("counts")
-    if counts is not None:
-        _check_keys(counts, CONFIG_SCHEMA["data"]["counts"], "data.counts")
+    counts = _typed(cfg.get("data", {}).get("counts", {}), dict, "data.counts")
+    _check_keys(counts, CONFIG_SCHEMA["data"]["counts"], "data.counts")
     return cfg
 
 
@@ -80,7 +88,7 @@ def _provenance(cfg: dict, seed: int) -> dict:
 def _seed(cfg: dict, args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("seed", 0))
+    return _typed(cfg.get("seed", 0), int, "seed")
 
 
 def _factor_specs(cfg: dict):
@@ -103,10 +111,11 @@ def _margins(raw: dict | None) -> Margins | None:
     if raw is None:
         return None
     adapt, isolate = {}, {}
-    for f, pair in raw.items():
+    for f, pair in _typed(raw, dict, "distill.margins").items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"margins for '{f}' must be [adapt, isolate]")
-        adapt[f], isolate[f] = float(pair[0]), float(pair[1])
+        adapt[f] = _typed(pair[0], float, f"distill.margins.{f}[0]")
+        isolate[f] = _typed(pair[1], float, f"distill.margins.{f}[1]")
     return Margins(adapt, isolate)
 
 
@@ -114,11 +123,11 @@ def _dual_table(raw: dict | None, what: str) -> dict | None:
     """{"A": {factor: v}, "I": {factor: v}} -> {("A"|"I", factor): v}."""
     if raw is None:
         return None
-    _check_keys(raw, {"A", "I"}, what)
+    _check_keys(_typed(raw, dict, what), {"A", "I"}, what)
     out = {}
     for kind, table in raw.items():
-        for f, v in table.items():
-            v = float(v)
+        for f, v in _typed(table, dict, f"{what}.{kind}").items():
+            v = _typed(v, float, f"{what}.{kind}.{f}")
             if v < 0:
                 raise ConfigError(f"{what}[{kind}][{f}] must be >= 0")
             out[(kind, f)] = v
@@ -127,38 +136,48 @@ def _dual_table(raw: dict | None, what: str) -> dict | None:
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
     d = cfg.get("distill", {})
-    clip = d.get("spectral_clip", {})
+    clip = _typed(d.get("spectral_clip", {}), dict, "distill.spectral_clip")
     _check_keys(clip, {"enabled", "theta"}, "distill.spectral_clip")
+
+    def get(key, kind, default):
+        return _typed(d.get(key, default), kind, f"distill.{key}")
+
     return TrainConfig(
-        batch_size=int(d.get("batch_size", 16)),
-        lr=float(d.get("lr", 1e-5)),
-        epochs=int(d.get("epochs", 50)),
+        batch_size=get("batch_size", int, 16),
+        lr=get("lr", float, 1e-5),
+        epochs=get("epochs", int, 50),
         seed=seed,
-        ratio=float(d.get("ratio", 0.5)),
+        ratio=get("ratio", float, 0.5),
         margins=_margins(d.get("margins")),
         dual_init=_dual_table(d.get("dual_init"), "distill.dual_init"),
         dual_rates=_dual_table(d.get("dual_rates"), "distill.dual_rates"),
-        spectral_clip_enabled=bool(clip.get("enabled", False)),
-        spectral_clip_theta=float(clip.get("theta", 1.0)),
-        early_stop_hinge=float(d.get("early_stop_hinge", 1e-4)),
-        early_stop_dloss=float(d.get("early_stop_dloss", 1e-5)),
-        early_stop_patience=int(d.get("early_stop_patience", 3)),
+        spectral_clip_enabled=_typed(clip.get("enabled", False), bool,
+                                     "distill.spectral_clip.enabled"),
+        spectral_clip_theta=_typed(clip.get("theta", 1.0), float,
+                                   "distill.spectral_clip.theta"),
+        early_stop_hinge=get("early_stop_hinge", float, 1e-4),
+        early_stop_dloss=get("early_stop_dloss", float, 1e-5),
+        early_stop_patience=get("early_stop_patience", int, 3),
     )
 
 
 def _teacher_config(cfg: dict, seed: int) -> TeacherConfig:
     t = cfg.get("teacher", {})
+
+    def get(key, kind, default):
+        return _typed(t.get(key, default), kind, f"teacher.{key}")
+
     return TeacherConfig(
-        arch=dict(t.get("arch", {})),
-        epochs=int(t.get("epochs", 100)),
-        batch_size=int(t.get("batch_size", 16)),
-        lr=float(t.get("lr", 1e-3)),
+        arch=get("arch", dict, {}),
+        epochs=get("epochs", int, 100),
+        batch_size=get("batch_size", int, 16),
+        lr=get("lr", float, 1e-3),
         seed=seed,
-        decoder_hidden=int(t.get("decoder_hidden", 128)),
-        kl_weight=float(t.get("kl_weight", 0.005)),
-        recon_weight=float(t.get("recon_weight", 1.0)),
-        align_penalty=float(t.get("align_penalty", 2.0)),
-        align_reward=float(t.get("align_reward", 0.5)),
+        decoder_hidden=get("decoder_hidden", int, 128),
+        kl_weight=get("kl_weight", float, 0.005),
+        recon_weight=get("recon_weight", float, 1.0),
+        align_penalty=get("align_penalty", float, 2.0),
+        align_reward=get("align_reward", float, 0.5),
     )
 
 
@@ -177,8 +196,9 @@ def cmd_gen_data(args) -> int:
     size = tuple(d.get("image_size", (32, 32)))
     specs = _factor_specs(cfg)
     ds = data_mod.generate(specs, counts, image_size=size, seed=seed,
-                           noise=float(d.get("noise", 0.04)))
-    data_mod.build_all_pairs(ds, int(d.get("pairs_per_factor", 300)), seed=seed)
+                           noise=_typed(d.get("noise", 0.04), float, "data.noise"))
+    data_mod.build_all_pairs(ds, _typed(d.get("pairs_per_factor", 300), int,
+                                        "data.pairs_per_factor"), seed=seed)
     data_mod.save(ds, args.out, meta=_provenance(cfg, seed))
     parts = data_mod.partition(ds)
     print(f"wrote {len(ds.images)} samples to {args.out}")
@@ -249,8 +269,9 @@ def cmd_evaluate(args) -> int:
     ocfg = cfg.get("ood", {})
     report = evaluate_models(
         teacher, student, ds,
-        percentile=float(ocfg.get("percentile", 5.0)), seed=seed,
-        bench_runs=int(cfg.get("bench", {}).get("runs", 1000)))
+        percentile=_typed(ocfg.get("percentile", 5.0), float, "ood.percentile"),
+        seed=seed,
+        bench_runs=_typed(cfg.get("bench", {}).get("runs", 1000), int, "bench.runs"))
     report["provenance"] = _provenance(cfg, seed)
     _write_json(args.out, report)
     for who in ("teacher", "student"):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .tensor import Tensor, Rng, conv2d, ContractError
 from .data import ConfigError
+from .spectral import clip_layer, layer_spectrum
 
 LOGVAR_BOUND = 4.0
 DEFAULT_GAIN = 1.7
@@ -23,7 +24,7 @@ MAGIC = b"DDE1"
 
 
 class CorruptWeightsError(RuntimeError):
-    """Weight file failed its checksum or is truncated."""
+    """Weight file failed its checksum, is truncated or has a bad header."""
 
 
 @dataclass
@@ -43,6 +44,18 @@ class LayerSpec:
             raise ConfigError("layer widths must be >= 1")
         if self.gain <= 0:
             raise ConfigError("gain must be positive")
+
+    @property
+    def weight_shape(self) -> tuple:
+        if self.kind == "conv":
+            return (self.out_width, self.in_width, self.k, self.k)
+        return (self.out_width, self.in_width)
+
+    def out_size(self, hw) -> tuple:
+        """Output spatial size (H, W) of this layer on an input of size hw."""
+        if self.kind != "conv":
+            return (1, 1)
+        return tuple((n + 2 * self.padding - self.k) // self.stride + 1 for n in hw)
 
 
 @dataclass
@@ -137,30 +150,23 @@ class EncoderModel:
             seen |= s
 
     def _init_params(self, rng: Rng):
-        from .spectral import clip_singular_values, conv_singular_values
         spatial = self.layer_spatial()
         for li, spec in enumerate(self.layers):
-            if spec.kind == "conv":
-                shape = (spec.out_width, spec.in_width, spec.k, spec.k)
-            else:
-                shape = (spec.out_width, spec.in_width)
-            fan_in = int(np.prod(shape[1:]))
+            fan_in = int(np.prod(spec.weight_shape[1:]))
             limit = math.sqrt(3.0 / fan_in)
-            w = rng.uniform(-limit, limit, shape)
+            w = rng.uniform(-limit, limit, spec.weight_shape)
             # bound the initial operator norm by 1 + slack
             bound = 1.0 + self.init_norm_slack
-            if spec.kind == "linear" and not spec.standardized:
-                sv = np.linalg.svd(w, compute_uv=False)
-                if sv[0] > bound:
-                    w = clip_singular_values(w[:, :, None, None], (1, 1), bound)[:, :, 0, 0]
-            elif spec.standardized:
+            if spec.standardized:
                 # standardization is scale-invariant in W, so an oversized
                 # initial operator can only be shrunk through the gain
                 eff = _standardize_forward(w, spec.gain)[0]
-                sn = conv_singular_values(eff, spatial[li]).values[0] if spec.kind == "conv" \
-                    else np.linalg.svd(eff, compute_uv=False)[0]
+                sn = layer_spectrum(spec, eff, spatial[li])[0]
                 if sn > bound:
                     spec.gain *= bound / sn
+            elif spec.kind == "linear":
+                # a plain conv layer gets no initial check
+                w = clip_layer(spec, w, spatial[li], bound)
             self.params.append({
                 "w": Tensor(w, requires_grad=True),
                 "b": Tensor(np.zeros(spec.out_width), requires_grad=True),
@@ -168,15 +174,11 @@ class EncoderModel:
 
     def layer_spatial(self) -> list:
         """Input spatial size (H, W) seen by each layer."""
-        c, h, w = self.input_shape
+        hw = tuple(self.input_shape[1:])
         out = []
         for spec in self.layers:
-            out.append((h, w))
-            if spec.kind == "conv":
-                h = (h + 2 * spec.padding - spec.k) // spec.stride + 1
-                w = (w + 2 * spec.padding - spec.k) // spec.stride + 1
-            else:
-                h = w = 1
+            out.append(hw)
+            hw = spec.out_size(hw)
         return out
 
     # -- accounting -------------------------------------------------------
@@ -252,6 +254,7 @@ def build_teacher(config: dict | None = None) -> EncoderModel:
     cfg.update(config or {})
     layers = []
     cin = cfg["input_shape"][0]
+    hw = cfg["input_shape"][1:]
     for wdt in cfg["widths"]:
         if wdt < 1:
             raise ConfigError("widths must be positive")
@@ -260,13 +263,9 @@ def build_teacher(config: dict | None = None) -> EncoderModel:
                                 slope=cfg["slope"], standardized=True,
                                 gain=cfg["gain"]))
         cin = int(wdt)
+        hw = layers[-1].out_size(hw)
     # feature dim after the trunk
-    model_shape = cfg["input_shape"]
-    h, w = model_shape[1], model_shape[2]
-    for _ in cfg["widths"]:
-        h = (h + 2 * cfg["padding"] - cfg["kernel"]) // cfg["stride"] + 1
-        w = (w + 2 * cfg["padding"] - cfg["kernel"]) // cfg["stride"] + 1
-    feat = cin * h * w
+    feat = cin * hw[0] * hw[1]
     n = int(cfg["latent_dim"])
     layers.append(LayerSpec("linear", feat, n))   # mu head
     layers.append(LayerSpec("linear", feat, n))   # logvar head
@@ -281,6 +280,7 @@ def compress(teacher: EncoderModel, r: float, seed: int = 1) -> EncoderModel:
         raise ConfigError(f"compression ratio {r} outside [0.1, 0.9]")
     layers = []
     prev = teacher.input_shape[0]
+    hw = teacher.input_shape[1:]
     for spec in teacher.layers:
         if spec.kind == "conv":
             wdt = max(1, math.ceil((1.0 - r) * spec.out_width))
@@ -288,15 +288,11 @@ def compress(teacher: EncoderModel, r: float, seed: int = 1) -> EncoderModel:
                                     padding=spec.padding, slope=spec.slope,
                                     standardized=spec.standardized, gain=spec.gain))
             prev = wdt
+            hw = spec.out_size(hw)
         else:
             # heads keep the latent size; their fan-in follows the shrunk trunk
             # (conv geometry, and hence output spatial size, is unchanged)
-            h, wd_ = teacher.input_shape[1], teacher.input_shape[2]
-            for s in teacher.layers:
-                if s.kind == "conv":
-                    h = (h + 2 * s.padding - s.k) // s.stride + 1
-                    wd_ = (wd_ + 2 * s.padding - s.k) // s.stride + 1
-            layers.append(LayerSpec("linear", prev * h * wd_, teacher.latent_dim,
+            layers.append(LayerSpec("linear", prev * hw[0] * hw[1], teacher.latent_dim,
                                     slope=spec.slope, standardized=spec.standardized,
                                     gain=spec.gain))
     return EncoderModel(teacher.input_shape, layers, teacher.latent_dim,
@@ -344,20 +340,13 @@ def encode(model: EncoderModel, x) -> GaussianLatent:
     return GaussianLatent(mu, logvar)
 
 
-def sample(latent: GaussianLatent, rng: Rng | None = None, eps=None,
-           sigma_is_variance: bool = False) -> Tensor:
-    """Reparameterized draw a = eps * sigma + mu from a Gaussian latent.
-
-    sigma is the standard deviation exp(logvar/2) by default; set
-    sigma_is_variance for the alternative reading.  The result is a
-    constant (off-tape) tensor.
+def sample(latent: GaussianLatent, rng: Rng | None = None, eps=None) -> Tensor:
+    """Reparameterized draw a = eps * sigma + mu from a Gaussian latent, with
+    sigma the standard deviation exp(logvar/2).  The result is a constant
+    (off-tape) tensor.
     """
-    if eps is None:
-        eps = rng.normal(latent.mu.shape)
-    else:
-        eps = np.asarray(eps, dtype=np.float64)
-    scale = np.exp(latent.logvar.data if sigma_is_variance else latent.logvar.data / 2.0)
-    return Tensor(eps * scale + latent.mu.data)
+    eps = rng.normal(latent.mu.shape) if eps is None else np.asarray(eps, dtype=np.float64)
+    return Tensor(eps * np.exp(latent.logvar.data / 2.0) + latent.mu.data)
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +387,24 @@ def load_weights(path: str) -> EncoderModel:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise CorruptWeightsError(f"{path}: bad magic")
-    (hlen,) = struct.unpack("<Q", blob[4:12])
-    header = json.loads(blob[12:12 + hlen].decode("utf-8"))
-    payload = blob[12 + hlen:]
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != header["crc32"]:
-        raise CorruptWeightsError(f"{path}: checksum mismatch")
-
-    layers = [LayerSpec(**s) for s in header["layers"]]
-    model = EncoderModel.__new__(EncoderModel)
-    model.input_shape = tuple(header["input_shape"])
-    model.layers = layers
-    model.latent_dim = int(header["latent_dim"])
-    model.rep_dims = {f: [int(i) for i in ix] for f, ix in header["rep_dims"].items()}
-    model.init_norm_slack = float(header["init_norm_slack"])
-    model._validate_rep_dims()
+    try:
+        (hlen,) = struct.unpack("<Q", blob[4:12])
+        header = json.loads(blob[12:12 + hlen].decode("utf-8"))
+        payload = blob[12 + hlen:]
+        if (zlib.crc32(payload) & 0xFFFFFFFF) != header["crc32"]:
+            raise CorruptWeightsError(f"{path}: checksum mismatch")
+        layers = [LayerSpec(**s) for s in header["layers"]]
+        model = EncoderModel.__new__(EncoderModel)
+        model.input_shape = tuple(header["input_shape"])
+        model.layers = layers
+        model.latent_dim = int(header["latent_dim"])
+        model.rep_dims = {f: [int(i) for i in ix] for f, ix in header["rep_dims"].items()}
+        model.init_norm_slack = float(header["init_norm_slack"])
+        model._validate_rep_dims()
+        count = header["parameter_count"]
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as e:
+        # ValueError covers bad JSON, bad UTF-8 and an invalid layer spec
+        raise CorruptWeightsError(f"{path}: unreadable header: {e!r}") from e
 
     off = 0
 
@@ -424,20 +417,11 @@ def load_weights(path: str) -> EncoderModel:
         off += n
         return arr
 
-    model.params = []
-    for spec in layers:
-        shape = ((spec.out_width, spec.in_width, spec.k, spec.k)
-                 if spec.kind == "conv" else (spec.out_width, spec.in_width))
-        model.params.append({
-            "w": Tensor(read(shape), requires_grad=True),
-            "b": Tensor(read((spec.out_width,)), requires_grad=True),
-        })
-    model.snapshot = []
-    for spec in layers:
-        shape = ((spec.out_width, spec.in_width, spec.k, spec.k)
-                 if spec.kind == "conv" else (spec.out_width, spec.in_width))
-        model.snapshot.append(read(shape))
-    if model.parameter_count() != header["parameter_count"]:
+    model.params = [{"w": Tensor(read(spec.weight_shape), requires_grad=True),
+                     "b": Tensor(read((spec.out_width,)), requires_grad=True)}
+                    for spec in layers]
+    model.snapshot = [read(spec.weight_shape) for spec in layers]
+    if model.parameter_count() != count:
         raise CorruptWeightsError(f"{path}: parameter count mismatch")
     model.freeze()
     return model

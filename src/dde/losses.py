@@ -13,13 +13,6 @@ from .tensor import Tensor, ContractError
 
 
 @dataclass
-class LossValue:
-    value: Tensor               # scalar or per-sample vector, on tape
-    kind: str                   # "D" | "A" | "I"
-    factor: str | None = None
-
-
-@dataclass
 class Margins:
     adapt: dict                 # factor -> gamma_A
     isolate: dict               # factor -> gamma_I
@@ -79,20 +72,18 @@ def isolation_loss(a: Tensor, latent, a2: Tensor, latent2, rep_dims, n: int) -> 
             + (_mean_mi(a2, latent2, comp) - _mean_mi(a, latent, comp)))
 
 
-def bounded(value, kind: str) -> Tensor:
+def bounded(value: Tensor, kind: str) -> Tensor:
     """Bounded Lipschitz composite: logistic-based for kind D (range [0,1),
     Lipschitz 1/2, 0 maps to 0), arctan for kinds A/I (Lipschitz 1)."""
-    v = value.value if isinstance(value, LossValue) else value
     if kind == "D":
-        return (v.sigmoid() - 0.5) * 2.0
+        return (value.sigmoid() - 0.5) * 2.0
     if kind in ("A", "I"):
-        return v.arctan()
+        return value.arctan()
     raise ContractError(f"unknown loss kind '{kind}'")
 
 
-def hinge(value, gamma: float) -> Tensor:
+def hinge(value: Tensor, gamma: float) -> Tensor:
     """max(L - gamma, 0) with subgradient 0 at the kink."""
     if gamma < 0:
         raise ContractError("margin must be >= 0")
-    v = value.value if isinstance(value, LossValue) else value
-    return (v - gamma).relu()
+    return (value - gamma).relu()

@@ -40,12 +40,6 @@ class OodReasoner:
             "threshold": self.threshold,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "OodReasoner":
-        return cls(d["factor"], list(d["dims"]), np.array(d["weights"]),
-                   np.array(d["means"]), np.array(d["variances"]),
-                   float(d["threshold"]))
-
 
 def _kmeans(points: np.ndarray, k: int, rng: Rng,
             max_iter: int = 300, tol: float = 1e-6):

@@ -15,27 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor, ContractError
-from .data import chi_of_dataset  # noqa: F401  (certification-side entry point)
+from .data import chi_of_dataset
 
 
 @dataclass
 class SpectrumReport:
-    layer_id: int
     values: np.ndarray          # all singular values, descending
 
     @property
     def max(self) -> float:
         return float(self.values[0])
-
-
-@dataclass
-class LipschitzCert:
-    chi: float
-    kappa: float
-    delta_op: float
-    nu: float
-    layer_count: int
-    kappa_theta: float
 
 
 @dataclass
@@ -71,13 +60,13 @@ def _freq_coeffs(kernel: np.ndarray, spatial) -> np.ndarray:
     return coeffs.transpose(2, 3, 0, 1)          # (H, W, C_out, C_in)
 
 
-def conv_singular_values(kernel, spatial, layer_id: int = 0) -> SpectrumReport:
+def conv_singular_values(kernel, spatial) -> SpectrumReport:
     """All H*W*min(C_in, C_out) singular values of the circulant conv
     operator, via SVD of each per-frequency C_out x C_in matrix."""
     k = _as_kernel(kernel)
     sv = np.linalg.svd(_freq_coeffs(k, spatial), compute_uv=False)
     values = np.sort(sv.ravel())[::-1]
-    return SpectrumReport(layer_id, values)
+    return SpectrumReport(values)
 
 
 def clip_singular_values(kernel, spatial, theta: float) -> np.ndarray:
@@ -115,6 +104,24 @@ def clip_singular_values(kernel, spatial, theta: float) -> np.ndarray:
     return cur
 
 
+def layer_spectrum(spec, kernel: np.ndarray, spatial) -> np.ndarray:
+    """All singular values, descending, of layer `spec` run with `kernel` on
+    an input of size `spatial`; a linear layer ignores `spatial`."""
+    if spec.kind == "conv":
+        return conv_singular_values(kernel, spatial).values
+    return np.linalg.svd(kernel, compute_uv=False)
+
+
+def clip_layer(spec, kernel: np.ndarray, spatial, theta: float) -> np.ndarray:
+    """Layer `spec`'s kernel with its operator norm clipped to <= theta; a
+    linear kernel already within theta is returned as it is."""
+    if spec.kind == "conv":
+        return clip_singular_values(kernel, spatial, theta)
+    if np.linalg.svd(kernel, compute_uv=False)[0] <= theta:
+        return kernel
+    return clip_singular_values(kernel[:, :, None, None], (1, 1), theta)[:, :, 0, 0]
+
+
 def operator_drift(model, snapshot=None, per_layer: bool = False):
     """Summed spectral-norm distance between each layer's current effective
     operator and its initialization snapshot."""
@@ -123,11 +130,7 @@ def operator_drift(model, snapshot=None, per_layer: bool = False):
     drifts = []
     for li, spec in enumerate(model.layers):
         diff = model.effective_kernel(li) - snapshot[li]
-        if spec.kind == "conv":
-            drifts.append(conv_singular_values(diff, spatial[li], layer_id=li).max)
-        else:
-            sv = np.linalg.svd(diff, compute_uv=False)
-            drifts.append(float(sv[0]) if sv.size else 0.0)
+        drifts.append(float(layer_spectrum(spec, diff, spatial[li])[0]))
     total = float(sum(drifts))
     return (total, drifts) if per_layer else total
 
@@ -181,14 +184,10 @@ def certify(model, dataset=None, constants: dict | None = None,
     spatial = model.layer_spatial()
     spectra = []
     for li, spec in enumerate(model.layers):
-        eff = model.effective_kernel(li)
-        if spec.kind == "conv":
-            rep = conv_singular_values(eff, spatial[li], layer_id=li)
-        else:
-            rep = SpectrumReport(li, np.sort(np.linalg.svd(eff, compute_uv=False))[::-1])
+        values = layer_spectrum(spec, model.effective_kernel(li), spatial[li])
         spectra.append({"layer": li, "kind": spec.kind,
-                        "max": rep.max, "min": float(rep.values[-1]),
-                        "count": int(rep.values.size)})
+                        "max": float(values[0]), "min": float(values[-1]),
+                        "count": int(values.size)})
 
     delta_op = operator_drift(model)
     bounds, kappa_thetas = {}, {}

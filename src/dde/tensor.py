@@ -65,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -152,11 +149,6 @@ class Tensor:
         out._backward = lambda g: (g * e,)
         return out
 
-    def log(self):
-        out = Tensor(np.log(self.data), _parents=(self,), _op="log")
-        out._backward = lambda g: (g / self.data,)
-        return out
-
     def sqrt(self):
         r = np.sqrt(self.data)
         out = Tensor(r, _parents=(self,), _op="sqrt")
@@ -197,13 +189,6 @@ class Tensor:
         out = Tensor(np.where(mask, self.data, slope * self.data),
                      _parents=(self,), _op="leaky_relu")
         out._backward = lambda g: (g * np.where(mask, 1.0, slope),)
-        return out
-
-    def clip(self, lo: float, hi: float):
-        """Clamp values; gradient is zero where the clamp is active."""
-        mask = (self.data > lo) & (self.data < hi)
-        out = Tensor(np.clip(self.data, lo, hi), _parents=(self,), _op="clip")
-        out._backward = lambda g: (g * mask,)
         return out
 
     # -- shape / reductions ----------------------------------------------
@@ -411,8 +396,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def normal_sample(rng: Rng, shape) -> Tensor:
-    """I.i.d. standard normal draws as a constant (off-tape) tensor."""
-    return Tensor(rng.normal(shape))

@@ -15,8 +15,10 @@ import numpy as np
 
 from .tensor import Tensor, Rng, AdamState, adam_step, grad, NumericError
 from .data import FactorDataset, ConfigError
-from .encoder import EncoderModel, build_teacher, compress, encode, sample
+from .encoder import (EncoderModel, GaussianLatent, build_teacher, compress,
+                      encode, sample)
 from .losses import Margins, distill_loss, adapt_loss, isolation_loss, bounded, hinge
+from .spectral import clip_layer, layer_spectrum
 
 
 class TrainingError(RuntimeError):
@@ -123,6 +125,33 @@ class DualTrace:
                 writer.writerow(row | extra)
 
 
+def _pair_factors(dataset: FactorDataset) -> list:
+    """The dataset's factor names; every factor needs a pair set."""
+    factors = [s.name for s in dataset.specs]
+    for f in factors:
+        if f not in dataset.pair_sets:
+            raise ConfigError(f"dataset has no pair set for factor '{f}'")
+    return factors
+
+
+def _epoch_batches(rng: Rng, dataset: FactorDataset, train_idx, factors,
+                   batch_size: int):
+    """One epoch of (xs, {factor: (ia, ib)}) batches: xs are the batch's
+    train images and (ia[j], ib[j]) one random match pair per image.  The
+    permutation and every pair pick are drawn before the first batch."""
+    perm = rng.permutation(len(train_idx))
+    pair_pick = {f: rng.integers(len(dataset.pair_sets[f].pairs),
+                                 size=len(train_idx))
+                 for f in factors}
+    for start in range(0, len(perm), batch_size):
+        pos = perm[start:start + batch_size]
+        pairs = {}
+        for f in factors:
+            pi = [dataset.pair_sets[f].pairs[pair_pick[f][p]] for p in pos]
+            pairs[f] = (np.array([p[0] for p in pi]), np.array([p[1] for p in pi]))
+        yield np.array([train_idx[p] for p in pos]), pairs
+
+
 def _cache_teacher_latents(teacher: EncoderModel, images: np.ndarray,
                            indices, batch: int = 64):
     """Teacher is frozen, so encode each needed image exactly once."""
@@ -144,10 +173,7 @@ def distill(teacher: EncoderModel, student: EncoderModel | None,
     Returns (student, DualTrace).  student=None builds one by compressing the
     teacher at config.ratio.
     """
-    factors = [s.name for s in dataset.specs]
-    for f in factors:
-        if f not in dataset.pair_sets:
-            raise ConfigError(f"dataset has no pair set for factor '{f}'")
+    factors = _pair_factors(dataset)
     teacher.freeze()
     if student is None:
         student = compress(teacher, config.ratio, seed=config.seed + 1)
@@ -171,15 +197,10 @@ def distill(teacher: EncoderModel, student: EncoderModel | None,
     flat_hist = []
 
     for epoch in range(config.epochs):
-        perm = rng.permutation(len(train_idx))
-        pair_pick = {f: rng.integers(len(dataset.pair_sets[f].pairs),
-                                     size=len(train_idx))
-                     for f in factors}
         ep_ld, ep_h = [], {("A", f): [] for f in factors} | {("I", f): [] for f in factors}
 
-        for start in range(0, len(perm), config.batch_size):
-            pos = perm[start:start + config.batch_size]
-            xs = np.array([train_idx[p] for p in pos])
+        for xs, pairs in _epoch_batches(rng, dataset, train_idx, factors,
+                                        config.batch_size):
             b = len(xs)
 
             try:
@@ -189,10 +210,7 @@ def distill(teacher: EncoderModel, student: EncoderModel | None,
                 total = ld
                 mean_hinges = {}
                 for f in factors:
-                    pairs = dataset.pair_sets[f].pairs
-                    pi = [pairs[pair_pick[f][p]] for p in pos]
-                    ia = np.array([p[0] for p in pi])
-                    ib = np.array([p[1] for p in pi])
+                    ia, ib = pairs[f]
                     # one epsilon per pair, shared across (x, x')
                     eps = rng.normal((b, n))
                     a = sample(_const_latent(t_mu[ia], t_lv[ia]), eps=eps)
@@ -246,29 +264,21 @@ def distill(teacher: EncoderModel, student: EncoderModel | None,
 
 
 def _const_latent(mu: np.ndarray, lv: np.ndarray):
-    from .encoder import GaussianLatent
     return GaussianLatent(Tensor(mu), Tensor(lv))
 
 
 def _clip_model(model: EncoderModel, theta: float) -> None:
-    from .spectral import clip_singular_values, conv_singular_values
     spatial = model.layer_spatial()
     for li, spec in enumerate(model.layers):
         eff = model.effective_kernel(li)
         if spec.standardized:
             # effective operator norm is linear in the gain (standardization
             # is scale-invariant in W), so clip through the gain
-            sn = (conv_singular_values(eff, spatial[li]).max if spec.kind == "conv"
-                  else float(np.linalg.svd(eff, compute_uv=False)[0]))
+            sn = float(layer_spectrum(spec, eff, spatial[li])[0])
             if sn > theta:
                 spec.gain *= theta / sn
-        elif spec.kind == "conv":
-            model.params[li]["w"].data = clip_singular_values(eff, spatial[li], theta)
         else:
-            sv = np.linalg.svd(eff, compute_uv=False)
-            if sv.size and sv[0] > theta:
-                k4 = clip_singular_values(eff[:, :, None, None], (1, 1), theta)
-                model.params[li]["w"].data = k4[:, :, 0, 0]
+            model.params[li]["w"].data = clip_layer(spec, eff, spatial[li], theta)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +315,7 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
     alignment on match pairs (penalize mean-shift outside the factor's
     representative dims, reward it inside).
     """
-    factors = [s.name for s in dataset.specs]
-    for f in factors:
-        if f not in dataset.pair_sets:
-            raise ConfigError(f"dataset has no pair set for factor '{f}'")
-
+    factors = _pair_factors(dataset)
     arch = dict(config.arch)
     arch.setdefault("seed", config.seed)
     model = build_teacher(arch)
@@ -328,13 +334,8 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
     images = dataset.images
 
     for epoch in range(config.epochs):
-        perm = rng.permutation(len(train_idx))
-        pair_pick = {f: rng.integers(len(dataset.pair_sets[f].pairs),
-                                     size=len(train_idx))
-                     for f in factors}
-        for start in range(0, len(perm), config.batch_size):
-            pos = perm[start:start + config.batch_size]
-            xs = np.array([train_idx[p] for p in pos])
+        for xs, pairs in _epoch_batches(rng, dataset, train_idx, factors,
+                                        config.batch_size):
             b = len(xs)
             try:
                 lat = encode(model, images[xs])
@@ -349,10 +350,7 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
                 loss = config.recon_weight * mse + config.kl_weight * kl
 
                 for f in factors:
-                    pairs = dataset.pair_sets[f].pairs
-                    pi = [pairs[pair_pick[f][p]] for p in pos]
-                    ia = np.array([p[0] for p in pi])
-                    ib = np.array([p[1] for p in pi])
+                    ia, ib = pairs[f]
                     la = encode(model, images[ia])
                     lb = encode(model, images[ib])
                     dmu = la.mu - lb.mu

@@ -108,6 +108,30 @@ def standardize_tape(w, gain):
     return centered * (gain / denom)
 
 
+def epoch_batches_inline(rng, dataset, train_idx, factors, batch_size, latent_dim):
+    """One epoch of the batch loop as train_teacher and distill ran it
+    inline: a permutation and one pair pick per sample and factor, then per
+    batch and factor one (b, latent_dim) normal draw, as distill's eps.
+    Returns [(xs, {factor: (ia, ib, eps)})]."""
+    out = []
+    perm = rng.permutation(len(train_idx))
+    pair_pick = {f: rng.integers(len(dataset.pair_sets[f].pairs),
+                                 size=len(train_idx))
+                 for f in factors}
+    for start in range(0, len(perm), batch_size):
+        pos = perm[start:start + batch_size]
+        xs = np.array([train_idx[p] for p in pos])
+        got = {}
+        for f in factors:
+            pairs = dataset.pair_sets[f].pairs
+            pi = [pairs[pair_pick[f][p]] for p in pos]
+            ia = np.array([p[0] for p in pi])
+            ib = np.array([p[1] for p in pi])
+            got[f] = (ia, ib, rng.normal((len(xs), latent_dim)))
+        out.append((xs, got))
+    return out
+
+
 def circulant_conv_matrix(w, spatial):
     """Dense matrix of the stride-1 circular-padding convolution operator.
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,27 @@ class TestConfigValidation:
         p.write_text(json.dumps({"ood": {"percentile": 5.0, "k": {"haze": 3}}}))
         assert main(["gen-data", "--config", str(p), "--out", str(tmp_path / "d")]) == 2
         assert "unknown config key 'k'" in capsys.readouterr().err
+
+    def test_counts_must_be_an_object(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"data": {"counts": [1, 2]}}))
+        assert main(["gen-data", "--config", str(p), "--out", str(tmp_path / "d")]) == 2
+        assert "config key 'data.counts' must be dict" in capsys.readouterr().err
+
+    def test_non_numeric_teacher_epochs_exits_2(self, workdir, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"teacher": {"epochs": "abc"}}))
+        assert main(["train-teacher", "--config", str(p), "--data", str(workdir / "ds"),
+                     "--out", str(tmp_path / "t.bin")]) == 2
+        assert "config key 'teacher.epochs' must be int" in capsys.readouterr().err
+
+    def test_null_distill_batch_size_exits_2(self, workdir, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"distill": {"batch_size": None}}))
+        assert main(["distill", "--config", str(p), "--data", str(workdir / "ds"),
+                     "--teacher", str(workdir / "teacher.bin"),
+                     "--out", str(tmp_path / "s.bin")]) == 2
+        assert "config key 'distill.batch_size' must be int" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "absent.json"),
@@ -138,6 +160,39 @@ class TestArtifacts:
                    "--out-json", str(tmp_path / "c.json"),
                    "--out-csv", str(tmp_path / "z.csv")])
         assert rc == 3
+
+
+def _cut_in_header(blob):
+    return blob[:12 + 20]
+
+
+def _cut_before_header_length(blob):
+    return blob[:8]
+
+
+def _bad_utf8_header_byte(blob):
+    return blob[:12] + b"\xff" + blob[13:]
+
+
+def _missing_header_key(blob):
+    (hlen,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + hlen])
+    del header["latent_dim"]
+    hjson = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:4] + struct.pack("<Q", len(hjson)) + hjson + blob[12 + hlen:]
+
+
+@pytest.mark.parametrize("damage", [_cut_in_header, _cut_before_header_length,
+                                    _bad_utf8_header_byte, _missing_header_key])
+def test_unreadable_weight_header_exits_3(workdir, tmp_path, capsys, damage):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(damage((workdir / "student.bin").read_bytes()))
+    rc = main(["certify", "--config", str(workdir / "cfg.json"),
+               "--data", str(workdir / "ds"), "--model", str(bad),
+               "--out-json", str(tmp_path / "c.json"),
+               "--out-csv", str(tmp_path / "z.csv")])
+    assert rc == 3
+    assert "unreadable header" in capsys.readouterr().err
 
 
 class TestSeedOverride:

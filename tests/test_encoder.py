@@ -101,6 +101,24 @@ class TestModel:
         with pytest.raises(ConfigError):
             build_teacher({"latent_dim": 4, "rep_dims": {"a": [7]}})
 
+    def test_default_geometry_and_weight_shapes(self, tmp_path):
+        m = build_teacher()
+        assert m.layer_spatial() == [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2),
+                                     (1, 1), (1, 1)]
+        path = str(tmp_path / "t.bin")
+        save_weights(m, path)
+        back = load_weights(path)
+        assert back.layer_spatial() == m.layer_spatial()
+        for model in (m, back):
+            for spec, p, s in zip(model.layers, model.params, model.snapshot):
+                assert p["w"].shape == s.shape == spec.weight_shape
+
+    def test_out_size(self):
+        conv = LayerSpec("conv", 3, 4, k=3, stride=2, padding=1)
+        assert conv.out_size((32, 15)) == (16, 8)
+        assert LayerSpec("conv", 3, 4, k=5).out_size((9, 9)) == (5, 5)
+        assert LayerSpec("linear", 12, 4).out_size((3, 3)) == (1, 1)
+
     def test_parameter_count(self):
         m = build_teacher({"widths": (4,), "latent_dim": 6,
                            "rep_dims": {"a": [0]}, "input_shape": (3, 32, 32)})
@@ -183,8 +201,7 @@ class TestSample:
     def test_variance_reading_switch(self):
         lat = encoder.GaussianLatent(Tensor(np.zeros(1)), Tensor(np.array([np.log(4.0)])))
         eps = np.ones(1)
-        assert np.allclose(sample(lat, eps=eps).data, 2.0)
-        assert np.allclose(sample(lat, eps=eps, sigma_is_variance=True).data, 4.0)
+        assert np.allclose(sample(lat, eps=eps).data, 2.0)   # sigma = exp(lv/2)
 
     def test_monte_carlo_moments(self):
         mu = np.array([2.0])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from dde.tensor import Rng, ContractError
 from dde.data import ConfigError
 from dde import ood
-from dde.ood import OodReasoner, fit, score, auroc
+from dde.ood import fit, score, auroc
 
 from oracles import auroc_paircount, gaussian_mixture_loglik, loglik_loop
 
@@ -79,11 +80,14 @@ class TestGmm:
         assert (r.variances >= 1e-6).all()
 
     def test_round_trip_dict(self):
+        # eval.json stores to_dict(); every field must survive JSON unchanged
         r = fit(Rng(3).normal((30, 2)), 3, seed=1, factor="haze", dims=[3, 4])
-        back = OodReasoner.from_dict(r.to_dict())
-        assert back.factor == "haze" and back.dims == [3, 4]
-        z = np.array([0.3, -0.2])
-        assert score(back, z).score == score(r, z).score
+        back = json.loads(json.dumps(r.to_dict()))
+        assert back == r.to_dict()
+        assert back["factor"] == "haze" and back["dims"] == [3, 4]
+        for key in ("weights", "means", "variances"):
+            assert np.array_equal(np.array(back[key]), getattr(r, key))
+        assert back["threshold"] == r.threshold
 
 
 class TestThresholdAndScore:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dde.tensor import Rng, ContractError
-from dde.encoder import build_teacher
+from dde.encoder import LayerSpec, build_teacher
 from dde.spectral import (conv_singular_values, clip_singular_values,
+                          layer_spectrum, clip_layer,
                           operator_drift, network_lipschitz, zeta_bound,
                           certify, DEFAULT_CERT_CONSTANTS)
 
@@ -84,6 +85,42 @@ class TestClip:
     def test_rejects_oversized_kernel(self):
         with pytest.raises(ContractError):
             clip_singular_values(np.ones((1, 1, 3, 3)), (2, 2), 1.0)
+
+
+class TestLayerOperator:
+    conv = LayerSpec("conv", 3, 5, k=3, stride=2, padding=1)
+    linear = LayerSpec("linear", 7, 4)
+
+    @pytest.mark.parametrize("h", [2, 4, 8])
+    def test_conv_spectrum_is_circulant_spectrum(self, h):
+        w = Rng(h).normal((5, 3, 3, 3))
+        got = layer_spectrum(self.conv, w, (h, h))
+        assert np.array_equal(got, conv_singular_values(w, (h, h)).values)
+
+    def test_linear_spectrum_is_svd(self):
+        w = Rng(2).normal((4, 7))
+        got = layer_spectrum(self.linear, w, (1, 1))
+        assert np.array_equal(got, np.linalg.svd(w, compute_uv=False))
+        assert np.all(np.diff(got) <= 0)
+
+    def test_conv_clip_is_clip_singular_values(self):
+        w = Rng(3).normal((5, 3, 3, 3))
+        theta = 0.5 * conv_singular_values(w, (8, 8)).max
+        assert np.array_equal(clip_layer(self.conv, w, (8, 8), theta),
+                              clip_singular_values(w, (8, 8), theta))
+
+    def test_linear_clip_unchanged_under_theta(self):
+        w = Rng(4).normal((4, 7))
+        theta = np.linalg.svd(w, compute_uv=False)[0] * 1.5
+        assert np.array_equal(clip_layer(self.linear, w, (1, 1), theta), w)
+
+    @pytest.mark.parametrize("frac", [0.9, 0.5, 0.1])
+    def test_linear_clip_over_theta(self, frac):
+        w = Rng(5).normal((4, 7))
+        theta = frac * np.linalg.svd(w, compute_uv=False)[0]
+        clipped = clip_layer(self.linear, w, (1, 1), theta)
+        assert clipped.shape == w.shape
+        assert np.linalg.svd(clipped, compute_uv=False)[0] <= theta + 1e-9
 
 
 class TestOperatorDrift:

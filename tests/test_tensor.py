@@ -48,16 +48,8 @@ class TestElementwiseGrads:
     def test_fd(self, name, fn):
         check_grad(fn, self.x)
 
-    def test_log_grad(self):
-        check_grad(lambda t: t.log().sum(), np.array([0.5, 1.3, 4.0]))
-
     def test_relu_grad_off_kink(self):
         check_grad(lambda t: t.relu().sum(), self.x)
-
-    def test_clip_grad_zero_outside(self):
-        x = Tensor(np.array([-2.0, 0.3, 2.0]), requires_grad=True)
-        (g,) = grad(x.clip(-1.0, 1.0).sum(), [x])
-        assert np.allclose(g.data, [0.0, 1.0, 0.0])
 
     def test_take_grad(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -194,9 +186,9 @@ class TestGradContract:
             gc.enable()
 
     def test_nonfinite_raises_with_op_name(self):
-        x = Tensor(np.array([0.0]))
-        with np.errstate(divide="ignore"), pytest.raises(NumericError, match="log"):
-            x.log()
+        x = Tensor(np.array([1.0]))
+        with np.errstate(divide="ignore"), pytest.raises(NumericError, match="div"):
+            x / 0.0
 
 
 class TestAdam:

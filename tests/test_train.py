@@ -4,8 +4,11 @@ import pytest
 from dde import data, train
 from dde.data import ConfigError
 from dde.encoder import encode
+from dde.tensor import Rng
 from dde.train import (DualState, dual_step, TrainConfig, TeacherConfig,
-                       distill, train_teacher)
+                       distill, train_teacher, _epoch_batches)
+
+from oracles import epoch_batches_inline
 
 
 class TestDualStep:
@@ -33,6 +36,36 @@ class TestDualStep:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ConfigError):
             DualState({"f": -1.0}, {}, {"f": 0.1}, {})
+
+
+class TestEpochBatches:
+    @pytest.mark.parametrize("batch_size", [1, 4, 8])
+    def test_matches_inline_loop_and_rng_state(self, tiny_dataset, batch_size):
+        factors = [s.name for s in tiny_dataset.specs]
+        train_idx = tiny_dataset.indices("train")
+        want_rng, got_rng = Rng(5), Rng(5)
+        for _ in range(2):                      # two epochs share one stream
+            want = epoch_batches_inline(want_rng, tiny_dataset, train_idx,
+                                        factors, batch_size, 10)
+            got = []
+            for xs, pairs in _epoch_batches(got_rng, tiny_dataset, train_idx,
+                                            factors, batch_size):
+                # the body's own draws interleave with the batches
+                got.append((xs, {f: (*pairs[f], got_rng.normal((len(xs), 10)))
+                                 for f in factors}))
+            assert len(got) == len(want) == -(-len(train_idx) // batch_size)
+            for (gx, gp), (wx, wp) in zip(got, want):
+                assert np.array_equal(gx, wx)
+                for f in factors:
+                    for g, w in zip(gp[f], wp[f]):
+                        assert np.array_equal(g, w)
+        assert got_rng._gen.bit_generator.state == want_rng._gen.bit_generator.state
+
+    def test_teacher_missing_pairs_rejected(self):
+        ds = data.generate(data.default_factor_specs(),
+                           {"train": 2, "calibration": 1, "test": 1}, seed=0)
+        with pytest.raises(ConfigError, match="pair set"):
+            train_teacher(ds, TeacherConfig(epochs=0))
 
 
 class TestDistill:
