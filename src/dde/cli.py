@@ -21,20 +21,29 @@ from .data import ConfigError, FactorError, ParseError, FactorSpec, default_fact
 from .encoder import CorruptWeightsError, save_weights, load_weights
 from .losses import Margins
 from .train import TrainConfig, TeacherConfig, TrainingError, distill, train_teacher
-from .spectral import certify
+from .spectral import DEFAULT_CERT_CONSTANTS, certify
 from .evaluate import evaluate_models
+
+# key -> type of the typed keys of the teacher and distill sections.  Each
+# names a field of TeacherConfig or TrainConfig (CLIP_KEYS with the prefix
+# "spectral_clip_"), whose default applies when the config leaves it out.
+TEACHER_KEYS = {"arch": dict, "epochs": int, "batch_size": int, "lr": float,
+                "decoder_hidden": int, "kl_weight": float, "recon_weight": float,
+                "align_penalty": float, "align_reward": float}
+DISTILL_KEYS = {"epochs": int, "batch_size": int, "lr": float, "ratio": float,
+                "early_stop_hinge": float, "early_stop_dloss": float,
+                "early_stop_patience": int}
+CLIP_KEYS = {"enabled": bool, "theta": float}
 
 CONFIG_SCHEMA = {
     "seed": None,
     "data": {"counts": {"train", "calibration", "test"},
              "image_size": None, "pairs_per_factor": None, "factors": None,
              "noise": None},
-    "teacher": {"epochs", "batch_size", "lr", "decoder_hidden", "kl_weight",
-                "recon_weight", "align_penalty", "align_reward", "arch"},
-    "distill": {"epochs", "batch_size", "lr", "ratio", "margins", "dual_init",
-                "dual_rates", "spectral_clip", "early_stop_hinge",
-                "early_stop_dloss", "early_stop_patience"},
-    "cert": {"kappa", "loss_bound", "omega", "delta", "m", "m_grid"},
+    "teacher": set(TEACHER_KEYS),
+    "distill": {*DISTILL_KEYS, "margins", "dual_init", "dual_rates",
+                "spectral_clip"},
+    "cert": {*DEFAULT_CERT_CONSTANTS, "m_grid"},
     "ood": {"percentile"},
     "bench": {"runs"},
 }
@@ -55,6 +64,13 @@ def _typed(value, kind: type, key: str):
     return kind(value)
 
 
+def _typed_keys(section: dict, keys: dict, ctx: str, prefix: str = "") -> dict:
+    """The keys of `keys` that `section` sets, typed, as keyword arguments
+    named prefix + key; an unset key is left to its parameter's default."""
+    return {prefix + key: _typed(section[key], kind, f"{ctx}.{key}")
+            for key, kind in keys.items() if key in section}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -72,6 +88,8 @@ def load_config(path: str) -> dict:
         _check_keys(cfg[section], allowed, f"section '{section}'")
     counts = _typed(cfg.get("data", {}).get("counts", {}), dict, "data.counts")
     _check_keys(counts, CONFIG_SCHEMA["data"]["counts"], "data.counts")
+    for key, n in counts.items():
+        _typed(n, int, f"data.counts.{key}")
     return cfg
 
 
@@ -137,48 +155,43 @@ def _dual_table(raw: dict | None, what: str) -> dict | None:
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
     d = cfg.get("distill", {})
     clip = _typed(d.get("spectral_clip", {}), dict, "distill.spectral_clip")
-    _check_keys(clip, {"enabled", "theta"}, "distill.spectral_clip")
-
-    def get(key, kind, default):
-        return _typed(d.get(key, default), kind, f"distill.{key}")
-
+    _check_keys(clip, CLIP_KEYS, "distill.spectral_clip")
     return TrainConfig(
-        batch_size=get("batch_size", int, 16),
-        lr=get("lr", float, 1e-5),
-        epochs=get("epochs", int, 50),
         seed=seed,
-        ratio=get("ratio", float, 0.5),
         margins=_margins(d.get("margins")),
         dual_init=_dual_table(d.get("dual_init"), "distill.dual_init"),
         dual_rates=_dual_table(d.get("dual_rates"), "distill.dual_rates"),
-        spectral_clip_enabled=_typed(clip.get("enabled", False), bool,
-                                     "distill.spectral_clip.enabled"),
-        spectral_clip_theta=_typed(clip.get("theta", 1.0), float,
-                                   "distill.spectral_clip.theta"),
-        early_stop_hinge=get("early_stop_hinge", float, 1e-4),
-        early_stop_dloss=get("early_stop_dloss", float, 1e-5),
-        early_stop_patience=get("early_stop_patience", int, 3),
-    )
+        **_typed_keys(d, DISTILL_KEYS, "distill"),
+        **_typed_keys(clip, CLIP_KEYS, "distill.spectral_clip", "spectral_clip_"))
 
 
 def _teacher_config(cfg: dict, seed: int) -> TeacherConfig:
-    t = cfg.get("teacher", {})
+    return TeacherConfig(seed=seed, **_typed_keys(cfg.get("teacher", {}),
+                                                  TEACHER_KEYS, "teacher"))
 
-    def get(key, kind, default):
-        return _typed(t.get(key, default), kind, f"teacher.{key}")
 
-    return TeacherConfig(
-        arch=get("arch", dict, {}),
-        epochs=get("epochs", int, 100),
-        batch_size=get("batch_size", int, 16),
-        lr=get("lr", float, 1e-3),
-        seed=seed,
-        decoder_hidden=get("decoder_hidden", int, 128),
-        kl_weight=get("kl_weight", float, 0.005),
-        recon_weight=get("recon_weight", float, 1.0),
-        align_penalty=get("align_penalty", float, 2.0),
-        align_reward=get("align_reward", float, 0.5),
-    )
+def _cert_config(cfg: dict):
+    """The cert section as (constants, m_grid), each value typed like its
+    DEFAULT_CERT_CONSTANTS entry; a per-kind table may name only D, A, I."""
+    c = dict(cfg.get("cert", {}))
+    m_grid = c.pop("m_grid", None)
+    if m_grid is not None:
+        m_grid = [_typed(m, int, "cert.m_grid")
+                  for m in _typed(m_grid, list, "cert.m_grid")]
+    consts = {}
+    for key, value in c.items():
+        default = DEFAULT_CERT_CONSTANTS[key]
+        if isinstance(default, dict):
+            _check_keys(_typed(value, dict, f"cert.{key}"), default, f"cert.{key}")
+            consts[key] = {k: _typed(v, type(default[k]), f"cert.{key}.{k}")
+                           for k, v in value.items()}
+        else:
+            consts[key] = _typed(value, type(default), f"cert.{key}")
+    for key, ms in (("cert.m", consts.get("m", {}).values()),
+                    ("cert.m_grid", m_grid or [])):
+        if any(m < 1 for m in ms):
+            raise ConfigError(f"config key '{key}' must hold sample counts >= 1")
+    return consts, m_grid
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -193,10 +206,14 @@ def cmd_gen_data(args) -> int:
     seed = _seed(cfg, args)
     d = cfg.get("data", {})
     counts = d.get("counts", {"train": 50, "calibration": 25, "test": 25})
-    size = tuple(d.get("image_size", (32, 32)))
+    size = _typed(d.get("image_size", [32, 32]), list, "data.image_size")
+    if len(size) != 2:
+        raise ConfigError("config key 'data.image_size' must be [height, width], "
+                          f"got {size!r}")
+    size = tuple(_typed(n, int, "data.image_size") for n in size)
     specs = _factor_specs(cfg)
     ds = data_mod.generate(specs, counts, image_size=size, seed=seed,
-                           noise=_typed(d.get("noise", 0.04), float, "data.noise"))
+                           **_typed_keys(d, {"noise": float}, "data"))
     data_mod.build_all_pairs(ds, _typed(d.get("pairs_per_factor", 300), int,
                                         "data.pairs_per_factor"), seed=seed)
     data_mod.save(ds, args.out, meta=_provenance(cfg, seed))
@@ -223,7 +240,7 @@ def cmd_distill(args) -> int:
     seed = _seed(cfg, args)
     ds = data_mod.load(args.data)
     teacher = load_weights(args.teacher)
-    student, trace = distill(teacher, None, ds, _train_config(cfg, seed))
+    student, trace = distill(teacher, ds, _train_config(cfg, seed))
     meta = _provenance(cfg, seed)
     save_weights(student, args.out, meta=meta)
     if args.trace:
@@ -240,9 +257,8 @@ def cmd_certify(args) -> int:
     seed = _seed(cfg, args)
     ds = data_mod.load(args.data)
     model = load_weights(args.model)
-    consts = {k: v for k, v in cfg.get("cert", {}).items() if k != "m_grid"}
-    report = certify(model, ds, constants=consts or None,
-                     m_grid=cfg.get("cert", {}).get("m_grid"))
+    consts, m_grid = _cert_config(cfg)
+    report = certify(model, ds, constants=consts, m_grid=m_grid)
     report["provenance"] = _provenance(cfg, seed)
     _write_json(args.out_json, report)
     meta = {k: str(v) for k, v in report["provenance"].items()}
@@ -266,12 +282,10 @@ def cmd_evaluate(args) -> int:
     ds = data_mod.load(args.data)
     teacher = load_weights(args.teacher)
     student = load_weights(args.student)
-    ocfg = cfg.get("ood", {})
     report = evaluate_models(
-        teacher, student, ds,
-        percentile=_typed(ocfg.get("percentile", 5.0), float, "ood.percentile"),
-        seed=seed,
-        bench_runs=_typed(cfg.get("bench", {}).get("runs", 1000), int, "bench.runs"))
+        teacher, student, ds, seed=seed,
+        **_typed_keys(cfg.get("ood", {}), {"percentile": float}, "ood"),
+        **_typed_keys(cfg.get("bench", {}), {"runs": int}, "bench", "bench_"))
     report["provenance"] = _provenance(cfg, seed)
     _write_json(args.out, report)
     for who in ("teacher", "student"):

@@ -189,13 +189,12 @@ def generate(specs, counts: dict, image_size=(32, 32), seed: int = 0,
     return FactorDataset(list(specs), np.stack(images), factors, splits, pids, seed=seed)
 
 
-def partition(dataset: FactorDataset, factors=None) -> list:
+def partition(dataset: FactorDataset) -> list:
     """Partition the train split by factor value combination."""
-    specs = dataset.specs if factors is None else [dataset.spec(f) for f in factors]
     groups: dict = {}
     for i in dataset.indices("train"):
-        assignment = {s.name: dataset.factors[i][s.name] for s in specs}
-        pid = _partition_id(assignment, specs)
+        assignment = {s.name: dataset.factors[i][s.name] for s in dataset.specs}
+        pid = _partition_id(assignment, dataset.specs)
         groups.setdefault(pid, (assignment, []))[1].append(i)
     return [Partition(pid, a, ix) for pid, (a, ix) in sorted(groups.items())]
 
@@ -252,7 +251,10 @@ def _read_ppm(path: str) -> np.ndarray:
         maxval = f.readline().strip()
         if len(dims) != 2 or maxval != b"255":
             raise ParseError(f"{path}: bad PPM header")
-        w, h = int(dims[0]), int(dims[1])
+        try:
+            w, h = int(dims[0]), int(dims[1])
+        except ValueError:
+            raise ParseError(f"{path}: bad PPM dims {dims!r}") from None
         raw = f.read(h * w * 3)
         if len(raw) != h * w * 3:
             raise ParseError(f"{path}: truncated pixel data")

@@ -123,8 +123,8 @@ class EncoderModel:
     operator-drift tracking.
     """
 
-    def __init__(self, input_shape, layers, latent_dim, rep_dims, seed=0,
-                 init_norm_slack=4898.0):
+    def __init__(self, input_shape, layers, latent_dim, rep_dims, seed,
+                 init_norm_slack):
         self.input_shape = tuple(input_shape)
         self.layers = list(layers)
         self.latent_dim = int(latent_dim)
@@ -251,6 +251,9 @@ def build_teacher(config: dict | None = None) -> EncoderModel:
         gain=DEFAULT_GAIN, slope=DEFAULT_SLOPE,
         seed=0, init_norm_slack=4898.0,
     )
+    for key in config or {}:
+        if key not in cfg:
+            raise ConfigError(f"unknown config key '{key}' in teacher.arch")
     cfg.update(config or {})
     layers = []
     cin = cfg["input_shape"][0]

@@ -13,6 +13,8 @@ from .tensor import Rng, ContractError
 from .data import ConfigError
 
 VAR_FLOOR = 1e-6
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-6           # Lloyd stops once no center moves farther than this
 
 
 @dataclass
@@ -41,8 +43,7 @@ class OodReasoner:
         }
 
 
-def _kmeans(points: np.ndarray, k: int, rng: Rng,
-            max_iter: int = 300, tol: float = 1e-6):
+def _kmeans(points: np.ndarray, k: int, rng: Rng):
     """Lloyd's algorithm with k-means++ seeding; an emptied cluster is
     re-seeded from the point farthest from its assigned center."""
     n = len(points)
@@ -58,7 +59,7 @@ def _kmeans(points: np.ndarray, k: int, rng: Rng,
         centers[j] = points[np.searchsorted(np.cumsum(d2), r).clip(0, n - 1)]
 
     assign = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
         assign = d2.argmin(axis=1)
         new_centers = centers.copy()
@@ -71,7 +72,7 @@ def _kmeans(points: np.ndarray, k: int, rng: Rng,
                 new_centers[j] = points[far]
         shift = np.sqrt(((new_centers - centers) ** 2).sum(-1)).max()
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
     return centers, d2.argmin(axis=1)

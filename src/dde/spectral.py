@@ -29,12 +29,6 @@ class SpectrumReport:
 
 @dataclass
 class RademacherBound:
-    kind: str
-    m: int
-    d: int
-    delta: float
-    loss_bound: float           # B
-    omega: float
     dudley: float
     concentration: float
     zeta: float
@@ -152,12 +146,10 @@ def zeta_bound(kind: str, m: int, d: int, delta: float, loss_bound: float,
         raise ContractError("m and d must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ContractError("delta must lie in (0, 1)")
-    dudley = (2.0 * chi * kappa * delta_op
-              * (1.0 + nu + delta_op / layer_count) ** layer_count
+    dudley = (2.0 * network_lipschitz(chi, kappa, delta_op, nu, layer_count)
               * math.sqrt(8.7 * d / m))
     concentration = (loss_bound + 2.0 * kappa * omega * m) * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
-    return RademacherBound(kind, m, d, delta, loss_bound, omega,
-                           dudley, concentration, dudley + concentration)
+    return RademacherBound(dudley, concentration, dudley + concentration)
 
 
 DEFAULT_CERT_CONSTANTS = {
@@ -170,13 +162,15 @@ DEFAULT_CERT_CONSTANTS = {
 }
 
 
-def certify(model, dataset=None, constants: dict | None = None,
-            m_grid=None) -> dict:
+def certify(model, dataset, constants: dict | None = None, m_grid=None) -> dict:
     """Full certification report: per-layer spectra summaries, operator
     drift, kappa_theta per loss kind, and the three zeta bounds (with a
-    zeta-vs-m table for plotting)."""
-    consts = {**DEFAULT_CERT_CONSTANTS, **(constants or {})}
-    chi = chi_of_dataset(dataset) if dataset is not None else float(consts["chi"])
+    zeta-vs-m table for plotting).  A per-kind table in `constants`
+    overrides only the kinds it names."""
+    given = constants or {}
+    consts = {k: {**v, **given.get(k, {})} if isinstance(v, dict) else given.get(k, v)
+              for k, v in DEFAULT_CERT_CONSTANTS.items()}
+    chi = chi_of_dataset(dataset)
     nu = model.init_norm_slack
     layer_count = len(model.layers)
     d = model.parameter_count()
@@ -192,23 +186,23 @@ def certify(model, dataset=None, constants: dict | None = None,
     delta_op = operator_drift(model)
     bounds, kappa_thetas = {}, {}
     for kind in ("D", "A", "I"):
-        kappa = float(consts["kappa"][kind])
+        kappa = consts["kappa"][kind]
         kappa_thetas[kind] = network_lipschitz(chi, kappa, delta_op, nu, layer_count)
-        b = zeta_bound(kind, int(consts["m"][kind]), d, float(consts["delta"]),
-                       float(consts["loss_bound"][kind]), float(consts["omega"]),
-                       kappa, chi, delta_op, nu, layer_count)
-        bounds[kind] = {"m": b.m, "dudley": b.dudley,
+        m = consts["m"][kind]
+        b = zeta_bound(kind, m, d, consts["delta"], consts["loss_bound"][kind],
+                       consts["omega"], kappa, chi, delta_op, nu, layer_count)
+        bounds[kind] = {"m": m, "dudley": b.dudley,
                         "concentration": b.concentration, "zeta": b.zeta}
 
     if m_grid is None:
         m_grid = [10, 30, 100, 300, 1000, 1500, 2000, 3000]
     zeta_vs_m = []
     for m in m_grid:
-        row = {"m": int(m)}
+        row = {"m": m}
         for kind in ("D", "A", "I"):
-            b = zeta_bound(kind, int(m), d, float(consts["delta"]),
-                           float(consts["loss_bound"][kind]), float(consts["omega"]),
-                           float(consts["kappa"][kind]), chi, delta_op, nu, layer_count)
+            b = zeta_bound(kind, m, d, consts["delta"], consts["loss_bound"][kind],
+                           consts["omega"], consts["kappa"][kind], chi, delta_op,
+                           nu, layer_count)
             row[f"dudley_{kind}"] = b.dudley
             row[f"zeta_{kind}"] = b.zeta
         zeta_vs_m.append(row)

@@ -59,8 +59,6 @@ def dual_step(state: DualState, batch_mean_hinges: dict) -> DualState:
 class TrainConfig:
     batch_size: int = 16
     lr: float = 1e-5            # primal (distillation) rate
-    beta1: float = 0.9
-    beta2: float = 0.999
     epochs: int = 50
     seed: int = 0
     ratio: float = 0.5
@@ -83,23 +81,34 @@ class TrainConfig:
 
 # Desk-scale defaults mirroring the two-factor schema: tight margins and
 # aggressive dual rates on the pattern factor, looser on the overlay factor.
-DEFAULT_MARGINS = {"haze": (0.1, 0.1), "backdrop": (0.0001, 0.0001)}
-DEFAULT_DUAL_INIT = {"haze": (2.0, 2.0), "backdrop": (10.0, 10.0)}
-DEFAULT_DUAL_RATES = {"haze": (0.05, 0.05), "backdrop": (0.5, 0.5)}
+# Each maps factor -> the default of its A and I entries alike; a factor
+# not listed takes the fallback that `_resolve_duals` gives its table.
+DEFAULT_MARGINS = {"haze": 0.1, "backdrop": 0.0001}
+DEFAULT_DUAL_INIT = {"haze": 2.0, "backdrop": 10.0}
+DEFAULT_DUAL_RATES = {"haze": 0.05, "backdrop": 0.5}
+TEACHER_CACHE_BATCH = 64        # images per teacher encode in the latent cache
 
 
 def _resolve_duals(config: TrainConfig, factors):
-    margins = config.margins
-    if margins is None:
-        margins = Margins({f: DEFAULT_MARGINS.get(f, (0.1, 0.1))[0] for f in factors},
-                          {f: DEFAULT_MARGINS.get(f, (0.1, 0.1))[1] for f in factors})
-    init = config.dual_init or {}
-    rates = config.dual_rates or {}
-    la = {f: init.get(("A", f), DEFAULT_DUAL_INIT.get(f, (1.0, 1.0))[0]) for f in factors}
-    li = {f: init.get(("I", f), DEFAULT_DUAL_INIT.get(f, (1.0, 1.0))[1]) for f in factors}
-    ea = {f: rates.get(("A", f), DEFAULT_DUAL_RATES.get(f, (0.05, 0.05))[0]) for f in factors}
-    ei = {f: rates.get(("I", f), DEFAULT_DUAL_RATES.get(f, (0.05, 0.05))[1]) for f in factors}
-    return margins, DualState(la, li, ea, ei)
+    """(Margins, DualState) over `factors`: each ("A"|"I", factor) entry that
+    the config gives overrides that default, and naming a factor that the
+    dataset does not have is a ConfigError."""
+    m = config.margins
+    margins = None if m is None else ({("A", f): v for f, v in m.adapt.items()}
+                                      | {("I", f): v for f, v in m.isolate.items()})
+    out = []
+    for what, given, defaults, fallback in (
+            ("margins", margins, DEFAULT_MARGINS, 0.1),
+            ("dual_init", config.dual_init, DEFAULT_DUAL_INIT, 1.0),
+            ("dual_rates", config.dual_rates, DEFAULT_DUAL_RATES, 0.05)):
+        given = given or {}
+        for _, f in given:
+            if f not in factors:
+                raise ConfigError(f"distill.{what} names factor '{f}', "
+                                  "which the dataset does not have")
+        out += [{f: given.get((kind, f), defaults.get(f, fallback)) for f in factors}
+                for kind in "AI"]
+    return Margins(*out[:2]), DualState(*out[2:])
 
 
 @dataclass
@@ -152,31 +161,25 @@ def _epoch_batches(rng: Rng, dataset: FactorDataset, train_idx, factors,
         yield np.array([train_idx[p] for p in pos]), pairs
 
 
-def _cache_teacher_latents(teacher: EncoderModel, images: np.ndarray,
-                           indices, batch: int = 64):
+def _cache_teacher_latents(teacher: EncoderModel, images: np.ndarray, indices):
     """Teacher is frozen, so encode each needed image exactly once."""
     idx = sorted(set(indices))
     mu = np.zeros((len(images), teacher.latent_dim))
     lv = np.zeros((len(images), teacher.latent_dim))
-    for s in range(0, len(idx), batch):
-        chunk = idx[s:s + batch]
+    for s in range(0, len(idx), TEACHER_CACHE_BATCH):
+        chunk = idx[s:s + TEACHER_CACHE_BATCH]
         lat = encode(teacher, images[chunk])
         mu[chunk] = lat.mu.data
         lv[chunk] = lat.logvar.data
     return mu, lv
 
 
-def distill(teacher: EncoderModel, student: EncoderModel | None,
-            dataset: FactorDataset, config: TrainConfig):
-    """Primal-dual distillation of a compressed student from a frozen teacher.
-
-    Returns (student, DualTrace).  student=None builds one by compressing the
-    teacher at config.ratio.
-    """
+def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
+    """Primal-dual distillation of a student, compressed from the frozen
+    teacher at config.ratio.  Returns (student, DualTrace)."""
     factors = _pair_factors(dataset)
     teacher.freeze()
-    if student is None:
-        student = compress(teacher, config.ratio, seed=config.seed + 1)
+    student = compress(teacher, config.ratio, seed=config.seed + 1)
 
     margins, duals = _resolve_duals(config, factors)
     rng = Rng(config.seed)
@@ -192,7 +195,7 @@ def distill(teacher: EncoderModel, student: EncoderModel | None,
     t_mu, t_lv = _cache_teacher_latents(teacher, images, needed)
 
     params = student.trainable()
-    adam = AdamState(beta1=config.beta1, beta2=config.beta2)
+    adam = AdamState()
     trace = DualTrace(factors)
     flat_hist = []
 
@@ -292,8 +295,6 @@ class TeacherConfig:
     epochs: int = 100
     batch_size: int = 16
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     seed: int = 0
     decoder_hidden: int = 128
     kl_weight: float = 0.005
@@ -329,7 +330,7 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
     dec = [dw1, db1, dw2, db2]
 
     params = model.trainable() + dec
-    adam = AdamState(beta1=config.beta1, beta2=config.beta2)
+    adam = AdamState()
     train_idx = dataset.indices("train")
     images = dataset.images
 

@@ -26,5 +26,5 @@ def tiny_teacher(tiny_dataset):
 @pytest.fixture(scope="session")
 def tiny_student(tiny_teacher, tiny_dataset):
     cfg = train.TrainConfig(epochs=2, batch_size=8, seed=11)
-    student, trace = train.distill(tiny_teacher, None, tiny_dataset, cfg)
+    student, trace = train.distill(tiny_teacher, tiny_dataset, cfg)
     return student

@@ -76,7 +76,7 @@ def _distill(ds, teacher, seed, dual_init, dual_rates, log_batches=False):
                             dual_init=dict(dual_init),
                             dual_rates=dict(dual_rates),
                             log_batches=log_batches)
-    return train.distill(teacher, None, ds, cfg)
+    return train.distill(teacher, ds, cfg)
 
 
 @pytest.fixture(scope="module")

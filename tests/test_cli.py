@@ -1,12 +1,16 @@
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from dde import cli
 from dde.cli import main, load_config, config_hash
 from dde.data import ConfigError
+from dde.spectral import DEFAULT_CERT_CONSTANTS
+from dde.train import TeacherConfig, TrainConfig
 from dde import data
 
 
@@ -193,6 +197,101 @@ def test_unreadable_weight_header_exits_3(workdir, tmp_path, capsys, damage):
                "--out-csv", str(tmp_path / "z.csv")])
     assert rc == 3
     assert "unreadable header" in capsys.readouterr().err
+
+
+class TestSettings:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_config_parity_with_the_dataclasses(self, seed):
+        assert cli._train_config({}, seed) == TrainConfig(seed=seed)
+        assert cli._teacher_config({}, seed) == TeacherConfig(seed=seed)
+        cfg = {"distill": {"epochs": 3, "lr": 2,
+                           "spectral_clip": {"enabled": True, "theta": 0.5}},
+               "teacher": {"kl_weight": 0.1, "arch": {"latent_dim": 10}}}
+        assert cli._train_config(cfg, seed) == TrainConfig(
+            seed=seed, epochs=3, lr=2.0, spectral_clip_enabled=True,
+            spectral_clip_theta=0.5)
+        assert cli._teacher_config(cfg, seed) == TeacherConfig(
+            seed=seed, kl_weight=0.1, arch={"latent_dim": 10})
+
+    def test_typed_keys_name_dataclass_fields(self):
+        for keys, cls, prefix in ((cli.TEACHER_KEYS, TeacherConfig, ""),
+                                  (cli.DISTILL_KEYS, TrainConfig, ""),
+                                  (cli.CLIP_KEYS, TrainConfig, "spectral_clip_")):
+            fields = set(cls.__dataclass_fields__)
+            assert {prefix + k for k in keys} <= fields, keys
+
+    def test_partial_cert_kappa_keeps_other_kinds(self, workdir, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"cert": {"kappa": {"D": 1.0}, "m": {"A": 10}}}))
+        assert main(["certify", "--config", str(p), "--data", str(workdir / "ds"),
+                     "--model", str(workdir / "student.bin"),
+                     "--out-json", str(tmp_path / "cert.json"),
+                     "--out-csv", str(tmp_path / "zeta.csv")]) == 0
+        consts = json.loads((tmp_path / "cert.json").read_text())["constants"]
+        assert consts["kappa"] == {**DEFAULT_CERT_CONSTANTS["kappa"], "D": 1.0}
+        assert consts["m"] == {**DEFAULT_CERT_CONSTANTS["m"], "A": 10}
+        assert consts["omega"] == DEFAULT_CERT_CONSTANTS["omega"]
+
+
+def _stage_args(stage, workdir, tmp_path):
+    data_dir = ["--data", str(workdir / "ds")]
+    if stage == "gen-data":
+        return ["--out", str(tmp_path / "d")]
+    if stage == "train-teacher":
+        return data_dir + ["--out", str(tmp_path / "t.bin")]
+    if stage == "distill":
+        return data_dir + ["--teacher", str(workdir / "teacher.bin"),
+                           "--out", str(tmp_path / "s.bin")]
+    return data_dir + ["--model", str(workdir / "student.bin"),
+                       "--out-json", str(tmp_path / "c.json"),
+                       "--out-csv", str(tmp_path / "z.csv")]
+
+
+@pytest.mark.parametrize("stage, section, message", [
+    ("gen-data", {"data": {"image_size": 5}},
+     "config key 'data.image_size' must be list"),
+    ("gen-data", {"data": {"image_size": [32, "x"]}},
+     "config key 'data.image_size' must be int"),
+    ("gen-data", {"data": {"counts": {"train": "x", "calibration": 1, "test": 1}}},
+     "config key 'data.counts.train' must be int"),
+    ("certify", {"cert": {"omega": "x"}}, "config key 'cert.omega' must be float"),
+    ("certify", {"cert": {"kappa": {"D": 1.0, "X": 1.0}}},
+     "unknown config key 'X' in cert.kappa"),
+    ("certify", {"cert": {"m": {"D": 1.5}}}, "config key 'cert.m.D' must be int"),
+    ("certify", {"cert": {"m_grid": [0, 10]}}, "config key 'cert.m_grid'"),
+    ("train-teacher", {"teacher": {"epochs": 1, "arch": {"widht": [2]}}},
+     "unknown config key 'widht' in teacher.arch"),
+    ("distill", {"distill": {"margins": {"hze": [0.1, 0.1]}}},
+     "distill.margins names factor 'hze'"),
+    ("distill", {"distill": {"dual_init": {"A": {"hze": 1.0}}}},
+     "distill.dual_init names factor 'hze'"),
+    ("distill", {"distill": {"dual_rates": {"I": {"hze": 1.0}}}},
+     "distill.dual_rates names factor 'hze'"),
+])
+def test_bad_setting_exits_2_naming_its_key(workdir, tmp_path, capsys, stage,
+                                            section, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(section))
+    assert main([stage, "--config", str(p), *_stage_args(stage, workdir, tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_partial_margins_run(workdir, tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"distill": {"epochs": 1, "margins": {"haze": [0.2, 0.3]}}}))
+    assert main(["distill", "--config", str(p),
+                 *_stage_args("distill", workdir, tmp_path)]) == 0
+
+
+def test_bad_ppm_dims_exit_2(workdir, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    ppm = ds / "sample_000000.ppm"
+    w, h = (int(v) for v in ppm.read_bytes().split(b"\n")[1].split())
+    ppm.write_bytes(b"P6\nx y\n255\n" + bytes(w * h * 3))
+    assert main(["train-teacher", "--config", str(workdir / "cfg.json"),
+                 "--data", str(ds), "--out", str(tmp_path / "t.bin")]) == 2
+    assert "bad PPM dims" in capsys.readouterr().err
 
 
 class TestSeedOverride:

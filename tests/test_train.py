@@ -4,6 +4,7 @@ import pytest
 from dde import data, train
 from dde.data import ConfigError
 from dde.encoder import encode
+from dde.losses import Margins
 from dde.tensor import Rng
 from dde.train import (DualState, dual_step, TrainConfig, TeacherConfig,
                        distill, train_teacher, _epoch_batches)
@@ -71,7 +72,7 @@ class TestEpochBatches:
 class TestDistill:
     def test_trace_and_lambda_monotone_while_violated(self, tiny_teacher, tiny_dataset):
         cfg = TrainConfig(epochs=2, batch_size=8, seed=0, log_batches=True)
-        student, trace = distill(tiny_teacher, None, tiny_dataset, cfg)
+        student, trace = distill(tiny_teacher, tiny_dataset, cfg)
         assert len(trace.records) <= 2
         for rec in trace.batch_records:
             for kind, lam_map in (("A", 0), ("I", 1)):
@@ -87,7 +88,7 @@ class TestDistill:
         zeros = {(k, f): 0.0 for k in ("A", "I") for f in factors}
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0,
                           dual_init=dict(zeros), dual_rates=dict(zeros))
-        student, trace = distill(tiny_teacher, None, tiny_dataset, cfg)
+        student, trace = distill(tiny_teacher, tiny_dataset, cfg)
         rec = trace.records[-1]
         for f in factors:
             assert rec[f"lambda_A_{f}"] == 0.0
@@ -95,20 +96,20 @@ class TestDistill:
 
     def test_deterministic(self, tiny_teacher, tiny_dataset):
         cfg = TrainConfig(epochs=1, batch_size=8, seed=5)
-        s1, t1 = distill(tiny_teacher, None, tiny_dataset, cfg)
-        s2, t2 = distill(tiny_teacher, None, tiny_dataset, cfg)
+        s1, t1 = distill(tiny_teacher, tiny_dataset, cfg)
+        s2, t2 = distill(tiny_teacher, tiny_dataset, cfg)
         for p, q in zip(s1.params, s2.params):
             assert np.array_equal(p["w"].data, q["w"].data)
         assert t1.records == t2.records
 
     def test_distill_reduces_loss(self, tiny_teacher, tiny_dataset):
         cfg = TrainConfig(epochs=4, batch_size=8, seed=0, lr=1e-3)
-        _, trace = distill(tiny_teacher, None, tiny_dataset, cfg)
+        _, trace = distill(tiny_teacher, tiny_dataset, cfg)
         assert trace.records[-1]["L_D"] < trace.records[0]["L_D"]
 
     def test_teacher_unchanged(self, tiny_teacher, tiny_dataset):
         before = [p["w"].data.copy() for p in tiny_teacher.params]
-        distill(tiny_teacher, None, tiny_dataset, TrainConfig(epochs=1, batch_size=8))
+        distill(tiny_teacher, tiny_dataset, TrainConfig(epochs=1, batch_size=8))
         for b, p in zip(before, tiny_teacher.params):
             assert np.array_equal(b, p["w"].data)
 
@@ -116,11 +117,22 @@ class TestDistill:
         ds = data.generate(data.default_factor_specs(),
                            {"train": 2, "calibration": 1, "test": 1}, seed=0)
         with pytest.raises(ConfigError, match="pair set"):
-            distill(tiny_teacher, None, ds, TrainConfig(epochs=1))
+            distill(tiny_teacher, ds, TrainConfig(epochs=1))
+
+    def test_partial_tables_keep_other_defaults(self):
+        cfg = TrainConfig(margins=Margins({"haze": 0.2}, {"haze": 0.3}),
+                          dual_init={("A", "backdrop"): 1.5},
+                          dual_rates={("I", "haze"): 0.0})
+        margins, duals = train._resolve_duals(cfg, ["haze", "backdrop"])
+        assert margins.adapt == {"haze": 0.2, "backdrop": 0.0001}
+        assert margins.isolate == {"haze": 0.3, "backdrop": 0.0001}
+        assert duals.lambda_a == {"haze": 2.0, "backdrop": 1.5}
+        assert duals.lambda_i == {"haze": 2.0, "backdrop": 10.0}
+        assert duals.eta_i == {"haze": 0.0, "backdrop": 0.5}
 
     def test_trace_csv(self, tiny_teacher, tiny_dataset, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0)
-        _, trace = distill(tiny_teacher, None, tiny_dataset, cfg)
+        _, trace = distill(tiny_teacher, tiny_dataset, cfg)
         path = tmp_path / "trace.csv"
         trace.to_csv(str(path), meta={"seed": 0})
         lines = path.read_text().strip().splitlines()
