@@ -64,6 +64,13 @@ def _typed(value, kind: type, key: str):
     return kind(value)
 
 
+def _in_range(value, ok: bool, key: str, what: str):
+    """value, or a ConfigError naming the config key when not `ok`."""
+    if not ok:
+        raise ConfigError(f"config key '{key}' must {what}, got {value!r}")
+    return value
+
+
 def _typed_keys(section: dict, keys: dict, ctx: str, prefix: str = "") -> dict:
     """The keys of `keys` that `section` sets, typed, as keyword arguments
     named prefix + key; an unset key is left to its parameter's default."""
@@ -132,8 +139,9 @@ def _margins(raw: dict | None) -> Margins | None:
     for f, pair in _typed(raw, dict, "distill.margins").items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"margins for '{f}' must be [adapt, isolate]")
-        adapt[f] = _typed(pair[0], float, f"distill.margins.{f}[0]")
-        isolate[f] = _typed(pair[1], float, f"distill.margins.{f}[1]")
+        for table, i in ((adapt, 0), (isolate, 1)):
+            v = _typed(pair[i], float, f"distill.margins.{f}[{i}]")
+            table[f] = _in_range(v, v >= 0, f"distill.margins.{f}[{i}]", "be >= 0")
     return Margins(adapt, isolate)
 
 
@@ -172,25 +180,31 @@ def _teacher_config(cfg: dict, seed: int) -> TeacherConfig:
 
 def _cert_config(cfg: dict):
     """The cert section as (constants, m_grid), each value typed like its
-    DEFAULT_CERT_CONSTANTS entry; a per-kind table may name only D, A, I."""
+    DEFAULT_CERT_CONSTANTS entry and in range: delta in (0, 1), a sample
+    count >= 1, any other constant >= 0; a per-kind table may name only D,
+    A, I."""
+    def checked(v, default, key, name):
+        v = _typed(v, type(default), key)
+        if name == "delta":
+            return _in_range(v, 0 < v < 1, key, "lie in (0, 1)")
+        if name in ("m", "m_grid"):
+            return _in_range(v, v >= 1, key, "be a sample count >= 1")
+        return _in_range(v, v >= 0, key, "be >= 0")
+
     c = dict(cfg.get("cert", {}))
     m_grid = c.pop("m_grid", None)
     if m_grid is not None:
-        m_grid = [_typed(m, int, "cert.m_grid")
+        m_grid = [checked(m, 1, "cert.m_grid", "m_grid")
                   for m in _typed(m_grid, list, "cert.m_grid")]
     consts = {}
-    for key, value in c.items():
+    for key, v in c.items():
         default = DEFAULT_CERT_CONSTANTS[key]
         if isinstance(default, dict):
-            _check_keys(_typed(value, dict, f"cert.{key}"), default, f"cert.{key}")
-            consts[key] = {k: _typed(v, type(default[k]), f"cert.{key}.{k}")
-                           for k, v in value.items()}
+            _check_keys(_typed(v, dict, f"cert.{key}"), default, f"cert.{key}")
+            consts[key] = {k: checked(x, default[k], f"cert.{key}.{k}", key)
+                           for k, x in v.items()}
         else:
-            consts[key] = _typed(value, type(default), f"cert.{key}")
-    for key, ms in (("cert.m", consts.get("m", {}).values()),
-                    ("cert.m_grid", m_grid or [])):
-        if any(m < 1 for m in ms):
-            raise ConfigError(f"config key '{key}' must hold sample counts >= 1")
+            consts[key] = checked(v, default, f"cert.{key}", key)
     return consts, m_grid
 
 
@@ -279,13 +293,16 @@ def cmd_certify(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(cfg, args)
+    ood = _typed_keys(cfg.get("ood", {}), {"percentile": float}, "ood")
+    bench = _typed_keys(cfg.get("bench", {}), {"runs": int}, "bench", "bench_")
+    for p in ood.values():
+        _in_range(p, 0 <= p <= 100, "ood.percentile", "lie in [0, 100]")
+    for n in bench.values():
+        _in_range(n, n >= 1, "bench.runs", "be >= 1")
     ds = data_mod.load(args.data)
     teacher = load_weights(args.teacher)
     student = load_weights(args.student)
-    report = evaluate_models(
-        teacher, student, ds, seed=seed,
-        **_typed_keys(cfg.get("ood", {}), {"percentile": float}, "ood"),
-        **_typed_keys(cfg.get("bench", {}), {"runs": int}, "bench", "bench_"))
+    report = evaluate_models(teacher, student, ds, seed=seed, **ood, **bench)
     report["provenance"] = _provenance(cfg, seed)
     _write_json(args.out, report)
     for who in ("teacher", "student"):

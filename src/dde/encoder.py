@@ -15,7 +15,7 @@ import numpy as np
 
 from .tensor import Tensor, Rng, conv2d, ContractError
 from .data import ConfigError
-from .spectral import clip_layer, layer_spectrum
+from .spectral import clip_layer, layer_norm
 
 LOGVAR_BOUND = 4.0
 DEFAULT_GAIN = 1.7
@@ -161,7 +161,7 @@ class EncoderModel:
                 # standardization is scale-invariant in W, so an oversized
                 # initial operator can only be shrunk through the gain
                 eff = _standardize_forward(w, spec.gain)[0]
-                sn = layer_spectrum(spec, eff, spatial[li])[0]
+                sn = layer_norm(spec, eff, spatial[li])
                 if sn > bound:
                     spec.gain *= bound / sn
             elif spec.kind == "linear":

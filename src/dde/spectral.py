@@ -1,6 +1,6 @@
-"""Convolution operator spectra via per-frequency FFT + SVD, singular-value
-clipping, operator drift, the network Lipschitz coefficient, and the
-Rademacher bounds for the three loss kinds.
+"""Convolution operator spectra via a per-frequency DFT of the taps + SVD,
+singular-value clipping, operator drift, the network Lipschitz coefficient,
+and the Rademacher bounds for the three loss kinds.
 
 Spectra use the circular-padding (block circulant) operator convention: the
 operator's singular vectors are Fourier basis vectors, so the singular
@@ -41,26 +41,46 @@ def _as_kernel(kernel) -> np.ndarray:
     return k
 
 
-def _freq_coeffs(kernel: np.ndarray, spatial) -> np.ndarray:
+def _freq_blocks(kernel: np.ndarray, spatial):
+    """(real, pairs): the per-frequency C_out x C_in transforms of `kernel` on
+    an h x w grid that carry distinct singular values.  A real kernel's
+    transform at (-u, -v) is the conjugate of the one at (u, v), so `real`
+    holds the self-conjugate frequencies (u in {0, h/2}, v in {0, w/2}) and
+    `pairs` one frequency of each conjugate pair.  Taps beyond the grid wrap
+    through the phase."""
     h, w = spatial
-    kh, kw = kernel.shape[2], kernel.shape[3]
-    if kh > h or kw > w:
-        # kernel taps wrap around the image, so fold them modulo the size
-        folded = np.zeros(kernel.shape[:2] + (h, w))
-        ii, jj = np.meshgrid(np.arange(kh) % h, np.arange(kw) % w, indexing="ij")
-        np.add.at(folded, (slice(None), slice(None), ii, jj), kernel)
-        kernel = folded
-    coeffs = np.fft.fft2(kernel, s=(h, w), axes=(2, 3))
-    return coeffs.transpose(2, 3, 0, 1)          # (H, W, C_out, C_in)
+    co, ci, kh, kw = kernel.shape
+    freq = np.arange(h * w)
+    u, v = np.divmod(freq, w)
+    conj = (-u % h) * w + (-v % w)
+    a, b = np.divmod(np.arange(kh * kw), kw)
+    turns = (np.outer(u, a) % h) / h + (np.outer(v, b) % w) / w   # (h*w, kh*kw)
+    taps = kernel.reshape(co * ci, kh * kw).T
+    real = np.cos(2 * np.pi * turns[conj == freq]) @ taps
+    pairs = np.exp(-2j * np.pi * turns[conj > freq]) @ taps
+    return real.reshape(-1, co, ci), pairs.reshape(-1, co, ci)
 
 
 def conv_singular_values(kernel, spatial) -> SpectrumReport:
     """All H*W*min(C_in, C_out) singular values of the circulant conv
-    operator, via SVD of each per-frequency C_out x C_in matrix."""
-    k = _as_kernel(kernel)
-    sv = np.linalg.svd(_freq_coeffs(k, spatial), compute_uv=False)
-    values = np.sort(sv.ravel())[::-1]
-    return SpectrumReport(values)
+    operator, descending: the SVDs of the distinct per-frequency blocks,
+    with each conjugate pair's values counted twice."""
+    real, pairs = _freq_blocks(_as_kernel(kernel), spatial)
+    sv = np.linalg.svd(pairs, compute_uv=False).ravel()
+    values = np.concatenate([np.linalg.svd(real, compute_uv=False).ravel(), sv, sv])
+    return SpectrumReport(np.sort(values)[::-1])
+
+
+def _conv_norm(kernel: np.ndarray, spatial) -> float:
+    """Largest singular value of the circulant conv operator: the top
+    eigenvalue of each distinct block's Gram matrix on its smaller side."""
+    top = 0.0
+    for blocks in _freq_blocks(kernel, spatial):
+        if blocks.shape[1] > blocks.shape[2]:
+            blocks = blocks.swapaxes(1, 2)
+        gram = blocks @ blocks.conj().swapaxes(1, 2)
+        top = max(top, np.linalg.eigvalsh(gram)[:, -1].max(initial=0.0))
+    return math.sqrt(top)
 
 
 def clip_singular_values(kernel, spatial, theta: float) -> np.ndarray:
@@ -79,18 +99,19 @@ def clip_singular_values(kernel, spatial, theta: float) -> np.ndarray:
     kh, kw = k.shape[2], k.shape[3]
     if kh > h or kw > w:
         raise ContractError("cannot clip a kernel larger than its input")
-    if conv_singular_values(k, spatial).max <= theta + 1e-9:
+    if _conv_norm(k, spatial) <= theta + 1e-9:
         return k.copy()
 
     cur = k.copy()
     mx = np.inf
     for _ in range(500):
-        u, s, vt = np.linalg.svd(_freq_coeffs(cur, spatial), full_matrices=False)
+        coeffs = np.fft.fft2(cur, s=spatial, axes=(2, 3)).transpose(2, 3, 0, 1)
+        u, s, vt = np.linalg.svd(coeffs, full_matrices=False)
         s = np.minimum(s, theta)
         clipped = (u * s[..., None, :]) @ vt
         full = np.real(np.fft.ifft2(clipped.transpose(2, 3, 0, 1), axes=(2, 3)))
         cur = full[:, :, :kh, :kw]
-        mx = conv_singular_values(cur, spatial).max
+        mx = _conv_norm(cur, spatial)
         if mx <= theta + 1e-10:
             break
     if mx > theta:
@@ -106,12 +127,20 @@ def layer_spectrum(spec, kernel: np.ndarray, spatial) -> np.ndarray:
     return np.linalg.svd(kernel, compute_uv=False)
 
 
+def layer_norm(spec, kernel: np.ndarray, spatial) -> float:
+    """Operator norm of layer `spec` run with `kernel` on an input of size
+    `spatial`: the first value of layer_spectrum, without the others."""
+    if spec.kind == "conv":
+        return _conv_norm(_as_kernel(kernel), spatial)
+    return float(np.linalg.svd(kernel, compute_uv=False)[0])
+
+
 def clip_layer(spec, kernel: np.ndarray, spatial, theta: float) -> np.ndarray:
     """Layer `spec`'s kernel with its operator norm clipped to <= theta; a
     linear kernel already within theta is returned as it is."""
     if spec.kind == "conv":
         return clip_singular_values(kernel, spatial, theta)
-    if np.linalg.svd(kernel, compute_uv=False)[0] <= theta:
+    if layer_norm(spec, kernel, spatial) <= theta:
         return kernel
     return clip_singular_values(kernel[:, :, None, None], (1, 1), theta)[:, :, 0, 0]
 
@@ -124,7 +153,7 @@ def operator_drift(model, snapshot=None, per_layer: bool = False):
     drifts = []
     for li, spec in enumerate(model.layers):
         diff = model.effective_kernel(li) - snapshot[li]
-        drifts.append(float(layer_spectrum(spec, diff, spatial[li])[0]))
+        drifts.append(layer_norm(spec, diff, spatial[li]))
     total = float(sum(drifts))
     return (total, drifts) if per_layer else total
 
@@ -137,7 +166,7 @@ def network_lipschitz(chi: float, kappa: float, delta_op: float,
     return chi * kappa * delta_op * (1.0 + nu + delta_op / layer_count) ** layer_count
 
 
-def zeta_bound(kind: str, m: int, d: int, delta: float, loss_bound: float,
+def zeta_bound(m: int, d: int, delta: float, loss_bound: float,
                omega: float, kappa: float, chi: float, delta_op: float,
                nu: float, layer_count: int) -> RademacherBound:
     """High-probability generalization bound: Dudley term (from the network
@@ -189,7 +218,7 @@ def certify(model, dataset, constants: dict | None = None, m_grid=None) -> dict:
         kappa = consts["kappa"][kind]
         kappa_thetas[kind] = network_lipschitz(chi, kappa, delta_op, nu, layer_count)
         m = consts["m"][kind]
-        b = zeta_bound(kind, m, d, consts["delta"], consts["loss_bound"][kind],
+        b = zeta_bound(m, d, consts["delta"], consts["loss_bound"][kind],
                        consts["omega"], kappa, chi, delta_op, nu, layer_count)
         bounds[kind] = {"m": m, "dudley": b.dudley,
                         "concentration": b.concentration, "zeta": b.zeta}
@@ -200,7 +229,7 @@ def certify(model, dataset, constants: dict | None = None, m_grid=None) -> dict:
     for m in m_grid:
         row = {"m": m}
         for kind in ("D", "A", "I"):
-            b = zeta_bound(kind, m, d, consts["delta"], consts["loss_bound"][kind],
+            b = zeta_bound(m, d, consts["delta"], consts["loss_bound"][kind],
                            consts["omega"], consts["kappa"][kind], chi, delta_op,
                            nu, layer_count)
             row[f"dudley_{kind}"] = b.dudley

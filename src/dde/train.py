@@ -18,7 +18,7 @@ from .data import FactorDataset, ConfigError
 from .encoder import (EncoderModel, GaussianLatent, build_teacher, compress,
                       encode, sample)
 from .losses import Margins, distill_loss, adapt_loss, isolation_loss, bounded, hinge
-from .spectral import clip_layer, layer_spectrum
+from .spectral import clip_layer, layer_norm
 
 
 class TrainingError(RuntimeError):
@@ -277,7 +277,7 @@ def _clip_model(model: EncoderModel, theta: float) -> None:
         if spec.standardized:
             # effective operator norm is linear in the gain (standardization
             # is scale-invariant in W), so clip through the gain
-            sn = float(layer_spectrum(spec, eff, spatial[li])[0])
+            sn = layer_norm(spec, eff, spatial[li])
             if sn > theta:
                 spec.gain *= theta / sn
         else:

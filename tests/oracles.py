@@ -1,10 +1,11 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: finite differences for gradients,
-quadruple loops for convolution, dense circulant matrices for operator
-spectra, pair counting for AUROC, and direct transcriptions of the
-closed-form bound expressions.  These were written and frozen before being
-compared against the package, and must stay independent of it.  The one
+quadruple loops for convolution, dense circulant matrices and a full-grid
+FFT for operator spectra, pair counting for AUROC, and direct
+transcriptions of the closed-form bound expressions.  These were written
+and frozen before being compared against the package, and must stay
+independent of it.  The one
 exception is `standardize_tape`: it is built from the package's elementary
 tape ops on purpose, as the chain-rule reference for the fused op.
 """
@@ -154,6 +155,22 @@ def circulant_conv_matrix(w, spatial):
                             col = (ci * h + ii) * wd + jj
                             mat[row, col] += w[co, ci, u, v]
     return mat
+
+
+def conv_singular_values_fft(w, spatial):
+    """All circulant-operator singular values, descending, as the package
+    computed them before its distinct-frequency DFT: taps folded modulo the
+    grid, a full fft2, and one SVD per frequency."""
+    w = np.asarray(w, dtype=np.float64)
+    h, wd = spatial
+    kh, kw = w.shape[2], w.shape[3]
+    if kh > h or kw > wd:
+        folded = np.zeros(w.shape[:2] + (h, wd))
+        ii, jj = np.meshgrid(np.arange(kh) % h, np.arange(kw) % wd, indexing="ij")
+        np.add.at(folded, (slice(None), slice(None), ii, jj), w)
+        w = folded
+    coeffs = np.fft.fft2(w, s=(h, wd), axes=(2, 3)).transpose(2, 3, 0, 1)
+    return np.sort(np.linalg.svd(coeffs, compute_uv=False).ravel())[::-1]
 
 
 def symmetric_kl_distill(mu_t, lv_t, mu_s, lv_s):

@@ -255,7 +255,7 @@ def test_3_closed_form_oracles():
         got_kt = network_lipschitz(chi, kappa, delta_op, nu, layers)
         want_kt = kappa_theta_closed(chi, kappa, delta_op, nu, layers)
         worst_bound = max(worst_bound, abs(got_kt - want_kt) / abs(want_kt))
-        b = zeta_bound(kind, consts["m"][kind], d, consts["delta"],
+        b = zeta_bound(consts["m"][kind], d, consts["delta"],
                        consts["loss_bound"][kind], consts["omega"],
                        kappa, chi, delta_op, nu, layers)
         wd, wc, wz = zeta_closed(consts["m"][kind], d, consts["delta"],

@@ -242,6 +242,10 @@ def _stage_args(stage, workdir, tmp_path):
     if stage == "distill":
         return data_dir + ["--teacher", str(workdir / "teacher.bin"),
                            "--out", str(tmp_path / "s.bin")]
+    if stage == "evaluate":
+        return data_dir + ["--teacher", str(workdir / "teacher.bin"),
+                           "--student", str(workdir / "student.bin"),
+                           "--out", str(tmp_path / "e.json")]
     return data_dir + ["--model", str(workdir / "student.bin"),
                        "--out-json", str(tmp_path / "c.json"),
                        "--out-csv", str(tmp_path / "z.csv")]
@@ -267,6 +271,16 @@ def _stage_args(stage, workdir, tmp_path):
      "distill.dual_init names factor 'hze'"),
     ("distill", {"distill": {"dual_rates": {"I": {"hze": 1.0}}}},
      "distill.dual_rates names factor 'hze'"),
+    ("certify", {"cert": {"delta": 1.5}}, "config key 'cert.delta' must lie in (0, 1)"),
+    ("certify", {"cert": {"kappa": {"D": -1.0}}}, "config key 'cert.kappa.D' must be >= 0"),
+    ("certify", {"cert": {"omega": -1.0}}, "config key 'cert.omega' must be >= 0"),
+    ("certify", {"cert": {"loss_bound": {"A": -2.0}}},
+     "config key 'cert.loss_bound.A' must be >= 0"),
+    ("distill", {"distill": {"margins": {"haze": [-0.1, 0.1]}}},
+     "config key 'distill.margins.haze[0]' must be >= 0"),
+    ("evaluate", {"ood": {"percentile": 150}},
+     "config key 'ood.percentile' must lie in [0, 100]"),
+    ("evaluate", {"bench": {"runs": 0}}, "config key 'bench.runs' must be >= 1"),
 ])
 def test_bad_setting_exits_2_naming_its_key(workdir, tmp_path, capsys, stage,
                                             section, message):

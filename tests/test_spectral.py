@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dde.tensor import Rng, ContractError
+from dde import spectral
 from dde.encoder import LayerSpec, build_teacher
 from dde.spectral import (conv_singular_values, clip_singular_values,
-                          layer_spectrum, clip_layer,
+                          layer_spectrum, layer_norm, clip_layer,
                           operator_drift, network_lipschitz, zeta_bound,
                           certify, DEFAULT_CERT_CONSTANTS)
+from dde.train import _clip_model
 
-from oracles import circulant_conv_matrix, kappa_theta_closed, zeta_closed
+from oracles import (circulant_conv_matrix, conv_singular_values_fft,
+                     kappa_theta_closed, zeta_closed)
 
 
 class TestConvSpectra:
@@ -46,6 +50,31 @@ class TestConvSpectra:
         want = np.sort(np.linalg.svd(circulant_conv_matrix(w, (2, 2)),
                                      compute_uv=False))[::-1][:len(got)]
         assert np.allclose(got, want, atol=1e-8)
+
+
+    @pytest.mark.parametrize("spatial", [(1, 1), (2, 2), (3, 3), (4, 6),
+                                         (2, 5), (5, 5), (8, 8)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_fft_reference(self, spatial, k):
+        # k > h or k > w covers the taps that wrap around a small grid
+        for cin, cout in ((1, 1), (2, 3), (3, 2)):
+            w = Rng(k * 10 + cin).normal((cout, cin, k, k))
+            got = conv_singular_values(w, spatial).values
+            want = conv_singular_values_fft(w, spatial)
+            assert got.size == want.size
+            assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(cin=st.integers(1, 3), cout=st.integers(1, 3), k=st.integers(1, 3),
+           h=st.integers(1, 8), w=st.integers(1, 8), seed=st.integers(0, 2**31))
+    def test_property_matches_dense_circulant(self, cin, cout, k, h, w, seed):
+        kernel = Rng(seed).normal((cout, cin, k, k))
+        got = conv_singular_values(kernel, (h, w)).values
+        want = np.linalg.svd(circulant_conv_matrix(kernel, (h, w)), compute_uv=False)
+        assert got.size == want.size
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+        spec = LayerSpec("conv", cin, cout, k=k)
+        assert abs(layer_norm(spec, kernel, (h, w)) - want[0]) <= 1e-9
 
 
 class TestClip:
@@ -102,6 +131,28 @@ class TestLayerOperator:
         got = layer_spectrum(self.linear, w, (1, 1))
         assert np.array_equal(got, np.linalg.svd(w, compute_uv=False))
         assert np.all(np.diff(got) <= 0)
+
+    @pytest.mark.parametrize("spatial", [(1, 1), (2, 2), (4, 6), (8, 8)])
+    def test_norm_is_top_of_spectrum(self, spatial):
+        wide = LayerSpec("conv", 5, 3, k=3, stride=2, padding=1)
+        for spec in (self.conv, wide, self.linear):
+            w = Rng(sum(spatial)).normal(spec.weight_shape)
+            want = layer_spectrum(spec, w, spatial)[0]
+            assert layer_norm(spec, w, spatial) == pytest.approx(want, rel=1e-12)
+
+    def test_norm_callers_take_no_full_spectrum(self, monkeypatch, tiny_student):
+        calls = []
+        full = spectral.conv_singular_values
+        monkeypatch.setattr(spectral, "conv_singular_values",
+                            lambda *a: calls.append(a) or full(*a))
+        operator_drift(tiny_student)
+        m = build_teacher({"widths": (4, 8), "latent_dim": 8,
+                           "rep_dims": {"a": [0]}, "input_shape": (3, 16, 16)})
+        _clip_model(m, 0.1)
+        assert calls == []
+        # while a full spectrum still goes through the patched name
+        layer_spectrum(self.conv, Rng(0).normal((5, 3, 3, 3)), (4, 4))
+        assert len(calls) == 1
 
     def test_conv_clip_is_clip_singular_values(self):
         w = Rng(3).normal((5, 3, 3, 3))
@@ -174,7 +225,7 @@ class TestZetaBound:
             kappa = DEFAULT_CERT_CONSTANTS["kappa"][kind]
             bnd = DEFAULT_CERT_CONSTANTS["loss_bound"][kind]
             m = DEFAULT_CERT_CONSTANTS["m"][kind]
-            b = zeta_bound(kind, m, 1000, 0.1, bnd, 0.001, kappa,
+            b = zeta_bound(m, 1000, 0.1, bnd, 0.001, kappa,
                            chi=55.4, delta_op=0.02, nu=4898.0, layer_count=7)
             dud, conc, tot = zeta_closed(m, 1000, 0.1, bnd, 0.001, kappa,
                                          55.4, 0.02, 4898.0, 7)
@@ -183,13 +234,13 @@ class TestZetaBound:
             assert b.zeta == pytest.approx(tot, rel=1e-12)
 
     def test_dudley_scales_inverse_sqrt_m(self):
-        b1 = zeta_bound("D", 100, 50, 0.1, 1.0, 0.001, 3.0, 1.0, 0.1, 1.0, 3)
-        b4 = zeta_bound("D", 400, 50, 0.1, 1.0, 0.001, 3.0, 1.0, 0.1, 1.0, 3)
+        b1 = zeta_bound(100, 50, 0.1, 1.0, 0.001, 3.0, 1.0, 0.1, 1.0, 3)
+        b4 = zeta_bound(400, 50, 0.1, 1.0, 0.001, 3.0, 1.0, 0.1, 1.0, 3)
         assert b1.dudley / b4.dudley == pytest.approx(2.0, rel=1e-12)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ContractError):
-            zeta_bound("D", 10, 10, 1.5, 1.0, 0.001, 3.0, 1.0, 0.1, 1.0, 3)
+            zeta_bound(10, 10, 1.5, 1.0, 0.001, 3.0, 1.0, 0.1, 1.0, 3)
 
 
 class TestCertify:
