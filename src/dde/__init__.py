@@ -12,10 +12,10 @@ from .data import (FactorSpec, FactorDataset, ConfigError, FactorError,
 from .encoder import (EncoderModel, GaussianLatent, CorruptWeightsError,
                       build_teacher, compress, encode, sample,
                       save_weights, load_weights)
-from .losses import Margins, distill_loss, adapt_loss, isolation_loss, bounded, hinge
+from .losses import distill_loss, adapt_loss, isolation_loss, bounded, hinge
 from .spectral import (conv_singular_values, clip_singular_values,
                        operator_drift, network_lipschitz, zeta_bound, certify)
-from .train import TrainConfig, TeacherConfig, TrainingError, DualState, distill, train_teacher
+from .train import TrainConfig, TeacherConfig, TrainingError, distill, train_teacher
 from .ood import OodReasoner, OodVerdict, fit, score, auroc
 
 __all__ = [
@@ -25,10 +25,10 @@ __all__ = [
     "default_factor_specs", "generate",
     "EncoderModel", "GaussianLatent", "CorruptWeightsError", "build_teacher",
     "compress", "encode", "sample", "save_weights", "load_weights",
-    "Margins", "distill_loss", "adapt_loss", "isolation_loss", "bounded", "hinge",
+    "distill_loss", "adapt_loss", "isolation_loss", "bounded", "hinge",
     "conv_singular_values", "clip_singular_values", "operator_drift",
     "network_lipschitz", "zeta_bound", "certify",
-    "TrainConfig", "TeacherConfig", "TrainingError", "DualState",
+    "TrainConfig", "TeacherConfig", "TrainingError",
     "distill", "train_teacher",
     "OodReasoner", "OodVerdict", "fit", "score", "auroc",
 ]

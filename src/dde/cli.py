@@ -19,7 +19,6 @@ from .tensor import NumericError, ContractError
 from . import data as data_mod
 from .data import ConfigError, FactorError, ParseError, FactorSpec, default_factor_specs
 from .encoder import CorruptWeightsError, save_weights, load_weights
-from .losses import Margins
 from .train import TrainConfig, TeacherConfig, TrainingError, distill, train_teacher
 from .spectral import DEFAULT_CERT_CONSTANTS, certify
 from .evaluate import evaluate_models
@@ -34,6 +33,17 @@ DISTILL_KEYS = {"epochs": int, "batch_size": int, "lr": float, "ratio": float,
                 "early_stop_hinge": float, "early_stop_dloss": float,
                 "early_stop_patience": int}
 CLIP_KEYS = {"enabled": bool, "theta": float}
+# config key -> (test, what it must satisfy) for the typed keys with a range
+KEY_RANGES = {
+    "teacher.epochs": (lambda v: v >= 0, "be >= 0"),
+    "teacher.batch_size": (lambda v: v >= 1, "be >= 1"),
+    "teacher.lr": (lambda v: v > 0, "be > 0"),
+    "distill.epochs": (lambda v: v >= 1, "be >= 1"),
+    "distill.early_stop_patience": (lambda v: v >= 0, "be >= 0"),
+    "distill.spectral_clip.theta": (lambda v: v > 0, "be > 0"),
+    "ood.percentile": (lambda v: 0 <= v <= 100, "lie in [0, 100]"),
+    "bench.runs": (lambda v: v >= 1, "be >= 1"),
+}
 
 CONFIG_SCHEMA = {
     "seed": None,
@@ -72,10 +82,17 @@ def _in_range(value, ok: bool, key: str, what: str):
 
 
 def _typed_keys(section: dict, keys: dict, ctx: str, prefix: str = "") -> dict:
-    """The keys of `keys` that `section` sets, typed, as keyword arguments
-    named prefix + key; an unset key is left to its parameter's default."""
-    return {prefix + key: _typed(section[key], kind, f"{ctx}.{key}")
-            for key, kind in keys.items() if key in section}
+    """The keys of `keys` that `section` sets, typed and range-checked by
+    KEY_RANGES, as keyword arguments named prefix + key; an unset key is left
+    to its parameter's default."""
+    out = {}
+    for key, kind in keys.items():
+        if key in section:
+            name = f"{ctx}.{key}"
+            v = _typed(section[key], kind, name)
+            ok, what = KEY_RANGES.get(name, (lambda v: True, ""))
+            out[prefix + key] = _in_range(v, ok(v), name, what)
+    return out
 
 
 def load_config(path: str) -> dict:
@@ -132,17 +149,18 @@ def _factor_specs(cfg: dict):
     return specs
 
 
-def _margins(raw: dict | None) -> Margins | None:
+def _margins(raw: dict | None) -> dict | None:
+    """{factor: [adapt, isolate]} -> {("A"|"I", factor): margin}."""
     if raw is None:
         return None
-    adapt, isolate = {}, {}
+    out = {}
     for f, pair in _typed(raw, dict, "distill.margins").items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"margins for '{f}' must be [adapt, isolate]")
-        for table, i in ((adapt, 0), (isolate, 1)):
+        for i, kind in enumerate("AI"):
             v = _typed(pair[i], float, f"distill.margins.{f}[{i}]")
-            table[f] = _in_range(v, v >= 0, f"distill.margins.{f}[{i}]", "be >= 0")
-    return Margins(adapt, isolate)
+            out[(kind, f)] = _in_range(v, v >= 0, f"distill.margins.{f}[{i}]", "be >= 0")
+    return out
 
 
 def _dual_table(raw: dict | None, what: str) -> dict | None:
@@ -295,10 +313,6 @@ def cmd_evaluate(args) -> int:
     seed = _seed(cfg, args)
     ood = _typed_keys(cfg.get("ood", {}), {"percentile": float}, "ood")
     bench = _typed_keys(cfg.get("bench", {}), {"runs": int}, "bench", "bench_")
-    for p in ood.values():
-        _in_range(p, 0 <= p <= 100, "ood.percentile", "lie in [0, 100]")
-    for n in bench.values():
-        _in_range(n, n >= 1, "bench.runs", "be >= 1")
     ds = data_mod.load(args.data)
     teacher = load_weights(args.teacher)
     student = load_weights(args.student)

@@ -325,7 +325,12 @@ def load(in_dir: str) -> FactorDataset:
     ds = FactorDataset(specs, np.stack(images), factors, splits, pids,
                        seed=int(manifest.get("seed", 0)))
     for f, pairs in _require(manifest, "pairs", "manifest").items():
-        ds.pair_sets[f] = PairSet(f, [(int(a), int(b)) for a, b in pairs])
+        pairs = [(int(a), int(b)) for a, b in pairs]
+        bad = [i for pair in pairs for i in pair if not 0 <= i < len(images)]
+        if bad:
+            raise ParseError(f"manifest: pair index {bad[0]} of factor '{f}' "
+                             f"is outside [0, {len(images)})")
+        ds.pair_sets[f] = PairSet(f, pairs)
     return ds
 
 

@@ -343,6 +343,17 @@ def encode(model: EncoderModel, x) -> GaussianLatent:
     return GaussianLatent(mu, logvar)
 
 
+def encode_batched(model: EncoderModel, images: np.ndarray, batch: int = 64):
+    """(mu, logvar) arrays of `images`, encoded `batch` images at a time."""
+    mu = np.zeros((len(images), model.latent_dim))
+    lv = np.zeros((len(images), model.latent_dim))
+    for s in range(0, len(images), batch):
+        lat = encode(model, images[s:s + batch])
+        mu[s:s + batch] = lat.mu.data
+        lv[s:s + batch] = lat.logvar.data
+    return mu, lv
+
+
 def sample(latent: GaussianLatent, rng: Rng | None = None, eps=None) -> Tensor:
     """Reparameterized draw a = eps * sigma + mu from a Gaussian latent, with
     sigma the standard deviation exp(logvar/2).  The result is a constant

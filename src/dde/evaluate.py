@@ -10,19 +10,9 @@ import time
 import numpy as np
 
 from .data import FactorDataset
-from .encoder import EncoderModel, encode
+from .encoder import EncoderModel, encode, encode_batched
 from .tensor import Tensor
 from . import ood
-
-
-def encode_batched(model: EncoderModel, images: np.ndarray, batch: int = 64):
-    mu = np.zeros((len(images), model.latent_dim))
-    lv = np.zeros((len(images), model.latent_dim))
-    for s in range(0, len(images), batch):
-        lat = encode(model, images[s:s + batch])
-        mu[s:s + batch] = lat.mu.data
-        lv[s:s + batch] = lat.logvar.data
-    return mu, lv
 
 
 def fit_reasoners(model: EncoderModel, dataset: FactorDataset,

@@ -7,21 +7,7 @@ batches (B, N); batched inputs produce one loss value per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tensor import Tensor, ContractError
-
-
-@dataclass
-class Margins:
-    adapt: dict                 # factor -> gamma_A
-    isolate: dict               # factor -> gamma_I
-
-    def __post_init__(self):
-        for d in (self.adapt, self.isolate):
-            for f, g in d.items():
-                if g < 0:
-                    raise ContractError(f"margin for '{f}' must be >= 0")
 
 
 def distill_loss(teacher, student) -> Tensor:

@@ -16,8 +16,8 @@ import numpy as np
 from .tensor import Tensor, Rng, AdamState, adam_step, grad, NumericError
 from .data import FactorDataset, ConfigError
 from .encoder import (EncoderModel, GaussianLatent, build_teacher, compress,
-                      encode, sample)
-from .losses import Margins, distill_loss, adapt_loss, isolation_loss, bounded, hinge
+                      encode, encode_batched, sample)
+from .losses import distill_loss, adapt_loss, isolation_loss, bounded, hinge
 from .spectral import clip_layer, layer_norm
 
 
@@ -25,34 +25,13 @@ class TrainingError(RuntimeError):
     """Training diverged (non-finite loss); message carries the epoch index."""
 
 
-@dataclass
-class DualState:
-    lambda_a: dict              # factor -> lambda_{A,f} >= 0
-    lambda_i: dict
-    eta_a: dict                 # factor -> dual learning rate
-    eta_i: dict
-
-    def __post_init__(self):
-        for d in (self.lambda_a, self.lambda_i):
-            for f, v in d.items():
-                if v < 0:
-                    raise ConfigError(f"dual variable for '{f}' must be >= 0")
-
-
-def dual_step(state: DualState, batch_mean_hinges: dict) -> DualState:
-    """Projected dual ascent: lambda' = max(lambda + eta * h, 0).
-
-    batch_mean_hinges maps ("A"|"I", factor) to the batch-mean hinged loss.
-    """
-    la, li = dict(state.lambda_a), dict(state.lambda_i)
-    for (kind, f), h in batch_mean_hinges.items():
-        if h < 0:
-            raise ConfigError("hinged losses must be >= 0")
-        if kind == "A":
-            la[f] = max(la[f] + state.eta_a[f] * h, 0.0)
-        else:
-            li[f] = max(li[f] + state.eta_i[f] * h, 0.0)
-    return DualState(la, li, dict(state.eta_a), dict(state.eta_i))
+def dual_step(lambdas: dict, rates: dict, hinges: dict) -> dict:
+    """Projected dual ascent, lambda' = max(lambda + eta * h, 0), at each
+    ("A"|"I", factor) key of `hinges`, the batch-mean hinged losses; the
+    other keys of `lambdas` keep their value."""
+    if any(h < 0 for h in hinges.values()):
+        raise ConfigError("hinged losses must be >= 0")
+    return lambdas | {k: max(lambdas[k] + rates[k] * h, 0.0) for k, h in hinges.items()}
 
 
 @dataclass
@@ -62,7 +41,7 @@ class TrainConfig:
     epochs: int = 50
     seed: int = 0
     ratio: float = 0.5
-    margins: Margins | None = None
+    margins: dict | None = None         # ("A"|"I", factor) -> gamma
     dual_init: dict | None = None       # ("A"|"I", factor) -> lambda^0
     dual_rates: dict | None = None      # ("A"|"I", factor) -> eta
     spectral_clip_enabled: bool = False
@@ -70,7 +49,6 @@ class TrainConfig:
     early_stop_hinge: float = 1e-4
     early_stop_dloss: float = 1e-5
     early_stop_patience: int = 3
-    log_batches: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -86,35 +64,35 @@ class TrainConfig:
 DEFAULT_MARGINS = {"haze": 0.1, "backdrop": 0.0001}
 DEFAULT_DUAL_INIT = {"haze": 2.0, "backdrop": 10.0}
 DEFAULT_DUAL_RATES = {"haze": 0.05, "backdrop": 0.5}
-TEACHER_CACHE_BATCH = 64        # images per teacher encode in the latent cache
 
 
 def _resolve_duals(config: TrainConfig, factors):
-    """(Margins, DualState) over `factors`: each ("A"|"I", factor) entry that
-    the config gives overrides that default, and naming a factor that the
-    dataset does not have is a ConfigError."""
-    m = config.margins
-    margins = None if m is None else ({("A", f): v for f, v in m.adapt.items()}
-                                      | {("I", f): v for f, v in m.isolate.items()})
+    """(margins, lambdas, rates), each {("A"|"I", factor): value} over
+    `factors`: each entry that the config gives overrides that default.
+    Naming a factor that the dataset does not have, or a negative value, is
+    a ConfigError."""
     out = []
     for what, given, defaults, fallback in (
-            ("margins", margins, DEFAULT_MARGINS, 0.1),
+            ("margins", config.margins, DEFAULT_MARGINS, 0.1),
             ("dual_init", config.dual_init, DEFAULT_DUAL_INIT, 1.0),
             ("dual_rates", config.dual_rates, DEFAULT_DUAL_RATES, 0.05)):
         given = given or {}
-        for _, f in given:
+        for (kind, f), v in given.items():
             if f not in factors:
                 raise ConfigError(f"distill.{what} names factor '{f}', "
                                   "which the dataset does not have")
-        out += [{f: given.get((kind, f), defaults.get(f, fallback)) for f in factors}
-                for kind in "AI"]
-    return Margins(*out[:2]), DualState(*out[2:])
+            if v < 0:
+                raise ConfigError(f"distill.{what}[{kind}][{f}] must be >= 0")
+        out.append({(kind, f): given.get((kind, f), defaults.get(f, fallback))
+                    for f in factors for kind in "AI"})
+    return tuple(out)
 
 
 @dataclass
 class DualTrace:
     factors: list
     records: list = field(default_factory=list)     # one dict per epoch
+    # one dict per batch: epoch, L_D, hinges, lambda_before, lambda_after
     batch_records: list = field(default_factory=list)
 
     def to_csv(self, path: str, meta: dict | None = None) -> None:
@@ -143,6 +121,19 @@ def _pair_factors(dataset: FactorDataset) -> list:
     return factors
 
 
+def _check_fit(model: EncoderModel, dataset: FactorDataset) -> None:
+    """The dataset's images must have the model's input shape, and each of
+    its factors needs representative dims in the model."""
+    shape = tuple(dataset.images.shape[1:])
+    if shape != model.input_shape:
+        raise ConfigError(f"dataset images have shape {shape}, but the model "
+                          f"takes {model.input_shape}")
+    for s in dataset.specs:
+        if s.name not in model.rep_dims:
+            raise ConfigError(f"model has no representative dims for the "
+                              f"dataset's factor '{s.name}'")
+
+
 def _epoch_batches(rng: Rng, dataset: FactorDataset, train_idx, factors,
                    batch_size: int):
     """One epoch of (xs, {factor: (ia, ib)}) batches: xs are the batch's
@@ -165,12 +156,8 @@ def _cache_teacher_latents(teacher: EncoderModel, images: np.ndarray, indices):
     """Teacher is frozen, so encode each needed image exactly once."""
     idx = sorted(set(indices))
     mu = np.zeros((len(images), teacher.latent_dim))
-    lv = np.zeros((len(images), teacher.latent_dim))
-    for s in range(0, len(idx), TEACHER_CACHE_BATCH):
-        chunk = idx[s:s + TEACHER_CACHE_BATCH]
-        lat = encode(teacher, images[chunk])
-        mu[chunk] = lat.mu.data
-        lv[chunk] = lat.logvar.data
+    lv = np.zeros_like(mu)
+    mu[idx], lv[idx] = encode_batched(teacher, images[idx])
     return mu, lv
 
 
@@ -178,10 +165,11 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
     """Primal-dual distillation of a student, compressed from the frozen
     teacher at config.ratio.  Returns (student, DualTrace)."""
     factors = _pair_factors(dataset)
+    _check_fit(teacher, dataset)
     teacher.freeze()
     student = compress(teacher, config.ratio, seed=config.seed + 1)
 
-    margins, duals = _resolve_duals(config, factors)
+    margins, lambdas, rates = _resolve_duals(config, factors)
     rng = Rng(config.seed)
     train_idx = dataset.indices("train")
     images = dataset.images
@@ -197,11 +185,9 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
     params = student.trainable()
     adam = AdamState()
     trace = DualTrace(factors)
-    flat_hist = []
 
     for epoch in range(config.epochs):
-        ep_ld, ep_h = [], {("A", f): [] for f in factors} | {("I", f): [] for f in factors}
-
+        first = len(trace.batch_records)
         for xs, pairs in _epoch_batches(rng, dataset, train_idx, factors,
                                         config.batch_size):
             b = len(xs)
@@ -211,7 +197,7 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
                 t_lat = _const_latent(t_mu[xs], t_lv[xs])
                 ld = bounded(distill_loss(t_lat, s_lat), "D")        # (b,)
                 total = ld
-                mean_hinges = {}
+                hinges = {}
                 for f in factors:
                     ia, ib = pairs[f]
                     # one epsilon per pair, shared across (x, x')
@@ -221,45 +207,37 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
                     sl = encode(student, images[ia])
                     sl2 = encode(student, images[ib])
                     h_a = hinge(bounded(adapt_loss(a, sl, a2, sl2, rep[f]), "A"),
-                                margins.adapt[f])
+                                margins[("A", f)])
                     h_i = hinge(bounded(isolation_loss(a, sl, a2, sl2, rep[f], n), "I"),
-                                margins.isolate[f])
-                    total = total + duals.lambda_a[f] * h_a + duals.lambda_i[f] * h_i
-                    mean_hinges[("A", f)] = float(h_a.data.mean())
-                    mean_hinges[("I", f)] = float(h_i.data.mean())
+                                margins[("I", f)])
+                    total = total + lambdas[("A", f)] * h_a + lambdas[("I", f)] * h_i
+                    hinges[("A", f)] = float(h_a.data.mean())
+                    hinges[("I", f)] = float(h_i.data.mean())
                 root = total.mean()
                 grads = grad(root, params)
                 adam_step(params, grads, adam, config.lr)
             except NumericError as e:
                 raise TrainingError(f"non-finite loss at epoch {epoch}: {e}") from e
 
-            prev = duals
-            duals = dual_step(duals, mean_hinges)
+            before, lambdas = lambdas, dual_step(lambdas, rates, hinges)
             if config.spectral_clip_enabled:
                 _clip_model(student, config.spectral_clip_theta)
-            ep_ld.append(float(ld.data.mean()))
-            for key, h in mean_hinges.items():
-                ep_h[key].append(h)
-            if config.log_batches:
-                trace.batch_records.append({
-                    "epoch": epoch, "hinges": mean_hinges,
-                    "lambda_before": (dict(prev.lambda_a), dict(prev.lambda_i)),
-                    "lambda_after": (dict(duals.lambda_a), dict(duals.lambda_i)),
-                })
+            trace.batch_records.append({
+                "epoch": epoch, "L_D": float(ld.data.mean()), "hinges": hinges,
+                "lambda_before": before, "lambda_after": lambdas})
 
-        rec = {"epoch": epoch, "L_D": float(np.mean(ep_ld))}
-        for f in factors:
-            rec[f"hinge_A_{f}"] = float(np.mean(ep_h[("A", f)]))
-            rec[f"hinge_I_{f}"] = float(np.mean(ep_h[("I", f)]))
-            rec[f"lambda_A_{f}"] = duals.lambda_a[f]
-            rec[f"lambda_I_{f}"] = duals.lambda_i[f]
+        batches = trace.batch_records[first:]
+        rec = {"epoch": epoch, "L_D": float(np.mean([br["L_D"] for br in batches]))}
+        for kind, f in lambdas:
+            rec[f"hinge_{kind}_{f}"] = float(np.mean([br["hinges"][(kind, f)]
+                                                      for br in batches]))
+            rec[f"lambda_{kind}_{f}"] = lambdas[(kind, f)]
         trace.records.append(rec)
 
-        flat_hist.append(rec["L_D"])
-        hinges_ok = all(rec[f"hinge_{k}_{f}"] < config.early_stop_hinge
-                        for f in factors for k in ("A", "I"))
-        if hinges_ok and len(flat_hist) > config.early_stop_patience:
-            window = flat_hist[-(config.early_stop_patience + 1):]
+        hinges_ok = all(rec[f"hinge_{kind}_{f}"] < config.early_stop_hinge
+                        for kind, f in lambdas)
+        if hinges_ok and len(trace.records) > config.early_stop_patience:
+            window = [r["L_D"] for r in trace.records[-(config.early_stop_patience + 1):]]
             if max(window) - min(window) < config.early_stop_dloss:
                 break
 
@@ -320,6 +298,7 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
     arch = dict(config.arch)
     arch.setdefault("seed", config.seed)
     model = build_teacher(arch)
+    _check_fit(model, dataset)
     rng = Rng(config.seed + 7919)
     c, h, w = model.input_shape
     pix = c * h * w

@@ -133,6 +133,23 @@ def epoch_batches_inline(rng, dataset, train_idx, factors, batch_size, latent_di
     return out
 
 
+def dual_step_per_kind(lambdas, rates, hinges):
+    """Projected dual ascent as it ran on per-kind tables: the
+    {("A"|"I", f): v} inputs are split into lambda_a, lambda_i, eta_a and
+    eta_i dicts keyed by factor, and each hinge updates its kind's dict.
+    Returns (lambda_a, lambda_i)."""
+    la = {f: v for (k, f), v in lambdas.items() if k == "A"}
+    li = {f: v for (k, f), v in lambdas.items() if k == "I"}
+    eta_a = {f: v for (k, f), v in rates.items() if k == "A"}
+    eta_i = {f: v for (k, f), v in rates.items() if k == "I"}
+    for (kind, f), h in hinges.items():
+        if kind == "A":
+            la[f] = max(la[f] + eta_a[f] * h, 0.0)
+        else:
+            li[f] = max(li[f] + eta_i[f] * h, 0.0)
+    return la, li
+
+
 def circulant_conv_matrix(w, spatial):
     """Dense matrix of the stride-1 circular-padding convolution operator.
 

@@ -15,7 +15,7 @@ import pytest
 from dde.tensor import Tensor, Rng, grad
 from dde import data, train, cli
 from dde.encoder import build_teacher, compress
-from dde.losses import (Margins, distill_loss, mutual_info, adapt_loss,
+from dde.losses import (distill_loss, mutual_info, adapt_loss,
                         isolation_loss, bounded, hinge)
 from dde.spectral import (conv_singular_values, clip_singular_values,
                           network_lipschitz, zeta_bound, certify)
@@ -54,8 +54,7 @@ ZERO_DUALS = {(k, f): 0.0 for k in ("A", "I") for f in ("haze", "backdrop")}
 
 
 def _margins():
-    return Margins({"haze": MARGIN, "backdrop": MARGIN},
-                   {"haze": MARGIN, "backdrop": MARGIN})
+    return {(k, f): MARGIN for k in ("A", "I") for f in ("haze", "backdrop")}
 
 
 def _make_dataset(seed):
@@ -70,12 +69,11 @@ def _make_teacher(ds, seed):
     return train.train_teacher(ds, cfg)
 
 
-def _distill(ds, teacher, seed, dual_init, dual_rates, log_batches=False):
+def _distill(ds, teacher, seed, dual_init, dual_rates):
     cfg = train.TrainConfig(epochs=STUDENT_EPOCHS, batch_size=8, lr=STUDENT_LR,
                             seed=seed, ratio=0.5, margins=_margins(),
                             dual_init=dict(dual_init),
-                            dual_rates=dict(dual_rates),
-                            log_batches=log_batches)
+                            dual_rates=dict(dual_rates))
     return train.distill(teacher, ds, cfg)
 
 
@@ -102,7 +100,7 @@ def pipeline_runs():
         }
     t0 = time.time()
     _, trace = _distill(runs[1]["dataset"], runs[1]["teacher"], 1,
-                        CONVERGE_INIT, CONVERGE_RATES, log_batches=True)
+                        CONVERGE_INIT, CONVERGE_RATES)
     runs["converge_trace"] = trace
     runs["converge_secs"] = time.time() - t0
     return runs
@@ -287,7 +285,7 @@ def test_4_primal_dual_convergence(pipeline_runs):
     worst_tail = 0.0
     for rec in final:
         for kind, f in keys:
-            gamma = (margins.adapt if kind == "A" else margins.isolate)[f]
+            gamma = margins[(kind, f)]
             h = rec[f"hinge_{kind}_{f}"]
             worst_tail = max(worst_tail, h - gamma)
             assert h < gamma, (kind, f, h, gamma)
@@ -298,8 +296,8 @@ def test_4_primal_dual_convergence(pipeline_runs):
             assert rec[f"lambda_{kind}_{f}"] >= 0.0
     for br in trace.batch_records:
         for kind, f in keys:
-            before = br["lambda_before"][0 if kind == "A" else 1][f]
-            after = br["lambda_after"][0 if kind == "A" else 1][f]
+            before = br["lambda_before"][(kind, f)]
+            after = br["lambda_after"][(kind, f)]
             if br["hinges"][(kind, f)] > 0:
                 assert after >= before
     print(f"CRITERION 4: PASS - {len(trace.records)} epochs, all hinge means "

@@ -281,6 +281,22 @@ def _stage_args(stage, workdir, tmp_path):
     ("evaluate", {"ood": {"percentile": 150}},
      "config key 'ood.percentile' must lie in [0, 100]"),
     ("evaluate", {"bench": {"runs": 0}}, "config key 'bench.runs' must be >= 1"),
+    ("distill", {"distill": {"epochs": 0}}, "config key 'distill.epochs' must be >= 1"),
+    ("train-teacher", {"teacher": {"epochs": -1}},
+     "config key 'teacher.epochs' must be >= 0"),
+    ("distill", {"distill": {"early_stop_patience": -1}},
+     "config key 'distill.early_stop_patience' must be >= 0"),
+    ("distill", {"distill": {"spectral_clip": {"theta": 0}}},
+     "config key 'distill.spectral_clip.theta' must be > 0"),
+    ("train-teacher", {"teacher": {"batch_size": 0}},
+     "config key 'teacher.batch_size' must be >= 1"),
+    ("train-teacher", {"teacher": {"lr": -1.0}}, "config key 'teacher.lr' must be > 0"),
+    ("train-teacher", {"teacher": {"arch": {**SMALL_CFG["teacher"]["arch"],
+                                            "input_shape": [3, 16, 16]}}},
+     "dataset images have shape (3, 32, 32), but the model takes (3, 16, 16)"),
+    ("train-teacher", {"teacher": {"arch": {**SMALL_CFG["teacher"]["arch"],
+                                            "rep_dims": {"hze": [1]}}}},
+     "no representative dims for the dataset's factor 'haze'"),
 ])
 def test_bad_setting_exits_2_naming_its_key(workdir, tmp_path, capsys, stage,
                                             section, message):
@@ -288,6 +304,34 @@ def test_bad_setting_exits_2_naming_its_key(workdir, tmp_path, capsys, stage,
     p.write_text(json.dumps(section))
     assert main([stage, "--config", str(p), *_stage_args(stage, workdir, tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_image_size_must_fit_the_teacher_in_distill(workdir, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**SMALL_CFG, "data": {**SMALL_CFG["data"],
+                                                   "image_size": [16, 16]}}))
+    assert main(["gen-data", "--config", str(p), "--out", str(tmp_path / "ds16")]) == 0
+    capsys.readouterr()
+    assert main(["distill", "--config", str(p), "--data", str(tmp_path / "ds16"),
+                 "--teacher", str(workdir / "teacher.bin"),
+                 "--out", str(tmp_path / "s.bin")]) == 2
+    assert ("dataset images have shape (3, 16, 16), but the model takes (3, 32, 32)"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("stage", ["train-teacher", "distill"])
+@pytest.mark.parametrize("index", [99999, -1])
+def test_out_of_range_pair_index_exits_2(workdir, tmp_path, capsys, stage, index):
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["pairs"]["backdrop"][2][1] = index
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    args = _stage_args(stage, workdir, tmp_path)
+    args[args.index("--data") + 1] = str(ds)
+    assert main([stage, "--config", str(workdir / "cfg.json"), *args]) == 2
+    assert (f"pair index {index} of factor 'backdrop' is outside [0, "
+            in capsys.readouterr().err)
 
 
 def test_partial_margins_run(workdir, tmp_path):

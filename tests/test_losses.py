@@ -5,7 +5,7 @@ import pytest
 
 from dde.tensor import Tensor, Rng, ContractError, grad
 from dde.encoder import GaussianLatent
-from dde.losses import (Margins, distill_loss, mutual_info, adapt_loss,
+from dde.losses import (distill_loss, mutual_info, adapt_loss,
                         isolation_loss, bounded, hinge)
 
 from oracles import symmetric_kl_distill, mutual_info_closed
@@ -178,10 +178,3 @@ class TestHinge:
     def test_negative_margin_rejected(self):
         with pytest.raises(ContractError):
             hinge(Tensor(np.array(0.0)), -0.1)
-
-
-def test_margins_validate():
-    with pytest.raises(ContractError):
-        Margins({"f": -0.1}, {"f": 0.0})
-    m = Margins({"f": 0.1}, {"f": 0.0001})
-    assert m.adapt["f"] == 0.1

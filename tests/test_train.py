@@ -1,42 +1,59 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dde import data, train
 from dde.data import ConfigError
 from dde.encoder import encode
-from dde.losses import Margins
 from dde.tensor import Rng
-from dde.train import (DualState, dual_step, TrainConfig, TeacherConfig,
+from dde.train import (dual_step, TrainConfig, TeacherConfig,
                        distill, train_teacher, _epoch_batches)
 
-from oracles import epoch_batches_inline
+from oracles import epoch_batches_inline, dual_step_per_kind
+
+
+def _table(a, i):
+    """{("A"|"I", "f"): value} of one factor "f"."""
+    return {("A", "f"): a, ("I", "f"): i}
 
 
 class TestDualStep:
     def test_hand_arithmetic(self):
-        st = DualState({"f": 2.0}, {"f": 2.0}, {"f": 0.05}, {"f": 0.05})
-        nxt = dual_step(st, {("A", "f"): 0.4, ("I", "f"): 0.0})
-        assert nxt.lambda_a["f"] == pytest.approx(2.02)
-        assert nxt.lambda_i["f"] == pytest.approx(2.0)
+        nxt = dual_step(_table(2.0, 2.0), _table(0.05, 0.05), _table(0.4, 0.0))
+        assert nxt[("A", "f")] == pytest.approx(2.02)
+        assert nxt[("I", "f")] == pytest.approx(2.0)
 
     def test_projection_at_zero(self):
-        st = DualState({"f": 0.0}, {"f": 0.0}, {"f": 0.5}, {"f": 0.5})
-        nxt = dual_step(st, {("A", "f"): 0.0})
-        assert nxt.lambda_a["f"] == 0.0
+        nxt = dual_step(_table(0.0, 0.0), _table(0.5, 0.5), {("A", "f"): 0.0})
+        assert nxt == _table(0.0, 0.0)
 
     def test_pure(self):
-        st = DualState({"f": 1.0}, {"f": 1.0}, {"f": 0.1}, {"f": 0.1})
-        dual_step(st, {("A", "f"): 0.3})
-        assert st.lambda_a["f"] == 1.0
+        lambdas = _table(1.0, 1.0)
+        dual_step(lambdas, _table(0.1, 0.1), {("A", "f"): 0.3})
+        assert lambdas == _table(1.0, 1.0)
 
     def test_rejects_negative_hinge(self):
-        st = DualState({"f": 1.0}, {"f": 1.0}, {"f": 0.1}, {"f": 0.1})
         with pytest.raises(ConfigError):
-            dual_step(st, {("A", "f"): -0.1})
+            dual_step(_table(1.0, 1.0), _table(0.1, 0.1), {("A", "f"): -0.1})
 
     def test_rejects_negative_lambda(self):
-        with pytest.raises(ConfigError):
-            DualState({"f": -1.0}, {}, {"f": 0.1}, {})
+        with pytest.raises(ConfigError, match="dual_init"):
+            train._resolve_duals(TrainConfig(dual_init={("A", "f"): -1.0}), ["f"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3),
+           lam=st.lists(st.floats(0, 10), min_size=6, max_size=6),
+           eta=st.lists(st.floats(0, 10), min_size=6, max_size=6),
+           h=st.lists(st.floats(0, 2), min_size=6, max_size=6))
+    def test_property_matches_per_kind_oracle(self, n, lam, eta, h):
+        keys = [(k, f"f{j}") for j in range(n) for k in "AI"]
+        lambdas, rates, hinges = ({k: v for k, v in zip(keys, vals)}
+                                  for vals in (lam, eta, h))
+        got = dual_step(lambdas, rates, hinges)
+        la, li = dual_step_per_kind(lambdas, rates, hinges)
+        for (kind, f), v in got.items():
+            assert v == (la if kind == "A" else li)[f]      # bit for bit
+            assert v >= max(lambdas[(kind, f)], 0.0)
 
 
 class TestEpochBatches:
@@ -71,17 +88,28 @@ class TestEpochBatches:
 
 class TestDistill:
     def test_trace_and_lambda_monotone_while_violated(self, tiny_teacher, tiny_dataset):
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=0, log_batches=True)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=0)
         student, trace = distill(tiny_teacher, tiny_dataset, cfg)
         assert len(trace.records) <= 2
+        assert trace.batch_records
         for rec in trace.batch_records:
-            for kind, lam_map in (("A", 0), ("I", 1)):
-                for f, h in ((f, rec["hinges"][(kind, f)]) for f in trace.factors):
-                    before = rec["lambda_before"][lam_map][f]
-                    after = rec["lambda_after"][lam_map][f]
-                    assert after >= 0.0
-                    if h > 0:
-                        assert after >= before
+            for key, h in rec["hinges"].items():
+                before = rec["lambda_before"][key]
+                after = rec["lambda_after"][key]
+                assert after >= 0.0
+                if h > 0:
+                    assert after >= before
+
+    def test_epoch_rows_summarize_batch_records(self, tiny_teacher, tiny_dataset):
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=0)
+        _, trace = distill(tiny_teacher, tiny_dataset, cfg)
+        for rec in trace.records:
+            batches = [br for br in trace.batch_records if br["epoch"] == rec["epoch"]]
+            assert rec["L_D"] == float(np.mean([br["L_D"] for br in batches]))
+            for (kind, f), lam in batches[-1]["lambda_after"].items():
+                assert rec[f"lambda_{kind}_{f}"] == lam
+                assert rec[f"hinge_{kind}_{f}"] == float(
+                    np.mean([br["hinges"][(kind, f)] for br in batches]))
 
     def test_zero_duals_zero_rates_is_pure_distillation(self, tiny_teacher, tiny_dataset):
         factors = [s.name for s in tiny_dataset.specs]
@@ -120,15 +148,22 @@ class TestDistill:
             distill(tiny_teacher, ds, TrainConfig(epochs=1))
 
     def test_partial_tables_keep_other_defaults(self):
-        cfg = TrainConfig(margins=Margins({"haze": 0.2}, {"haze": 0.3}),
+        cfg = TrainConfig(margins={("A", "haze"): 0.2, ("I", "haze"): 0.3},
                           dual_init={("A", "backdrop"): 1.5},
                           dual_rates={("I", "haze"): 0.0})
-        margins, duals = train._resolve_duals(cfg, ["haze", "backdrop"])
-        assert margins.adapt == {"haze": 0.2, "backdrop": 0.0001}
-        assert margins.isolate == {"haze": 0.3, "backdrop": 0.0001}
-        assert duals.lambda_a == {"haze": 2.0, "backdrop": 1.5}
-        assert duals.lambda_i == {"haze": 2.0, "backdrop": 10.0}
-        assert duals.eta_i == {"haze": 0.0, "backdrop": 0.5}
+        margins, lambdas, rates = train._resolve_duals(cfg, ["haze", "backdrop"])
+        assert margins == {("A", "haze"): 0.2, ("I", "haze"): 0.3,
+                           ("A", "backdrop"): 0.0001, ("I", "backdrop"): 0.0001}
+        assert lambdas == {("A", "haze"): 2.0, ("I", "haze"): 2.0,
+                           ("A", "backdrop"): 1.5, ("I", "backdrop"): 10.0}
+        assert rates == {("A", "haze"): 0.05, ("I", "haze"): 0.0,
+                         ("A", "backdrop"): 0.5, ("I", "backdrop"): 0.5}
+
+    @pytest.mark.parametrize("table", ["margins", "dual_init", "dual_rates"])
+    def test_resolve_duals_rejects_negative_value(self, table):
+        cfg = TrainConfig(**{table: {("I", "haze"): -0.1}})
+        with pytest.raises(ConfigError, match=rf"distill\.{table}\[I\]\[haze\]"):
+            train._resolve_duals(cfg, ["haze", "backdrop"])
 
     def test_trace_csv(self, tiny_teacher, tiny_dataset, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0)
