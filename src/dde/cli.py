@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train-teacher, distill, certify, evaluate.  All take a
-JSON config file; unknown config keys are rejected.  Every artifact written
-embeds (config hash, seed, tool version).  Exit codes: 0 success, 2 bad
-config/usage, 3 runtime failure (divergence, corrupt weights, numerics).
+JSON config file, which is checked whole against `SCHEMA` before any stage
+starts.  Every artifact written embeds (config hash, seed, tool version).
+Exit codes: 0 success, 2 bad config/usage, 3 runtime failure (divergence,
+corrupt weights, numerics).
 """
 
 from __future__ import annotations
@@ -17,85 +18,113 @@ import sys
 from . import __version__
 from .tensor import NumericError, ContractError
 from . import data as data_mod
-from .data import ConfigError, FactorError, ParseError, FactorSpec, default_factor_specs
+from .data import (ConfigError, FactorError, ParseError, FactorSpec, RENDER_ROLES,
+                   default_factor_specs)
 from .encoder import CorruptWeightsError, save_weights, load_weights
 from .train import TrainConfig, TeacherConfig, TrainingError, distill, train_teacher
-from .spectral import DEFAULT_CERT_CONSTANTS, certify
+from .spectral import certify
 from .evaluate import evaluate_models
 
-# key -> type of the typed keys of the teacher and distill sections.  Each
-# names a field of TeacherConfig or TrainConfig (CLIP_KEYS with the prefix
-# "spectral_clip_"), whose default applies when the config leaves it out.
-TEACHER_KEYS = {"arch": dict, "epochs": int, "batch_size": int, "lr": float,
-                "decoder_hidden": int, "kl_weight": float, "recon_weight": float,
-                "align_penalty": float, "align_reward": float}
-DISTILL_KEYS = {"epochs": int, "batch_size": int, "lr": float, "ratio": float,
-                "early_stop_hinge": float, "early_stop_dloss": float,
-                "early_stop_patience": int}
-CLIP_KEYS = {"enabled": bool, "theta": float}
-# config key -> (test, what it must satisfy) for the typed keys with a range
-KEY_RANGES = {
-    "teacher.epochs": (lambda v: v >= 0, "be >= 0"),
-    "teacher.batch_size": (lambda v: v >= 1, "be >= 1"),
-    "teacher.lr": (lambda v: v > 0, "be > 0"),
-    "distill.epochs": (lambda v: v >= 1, "be >= 1"),
-    "distill.early_stop_patience": (lambda v: v >= 0, "be >= 0"),
-    "distill.spectral_clip.theta": (lambda v: v > 0, "be > 0"),
-    "ood.percentile": (lambda v: 0 <= v <= 100, "lie in [0, 100]"),
-    "bench.runs": (lambda v: v >= 1, "be >= 1"),
+# (test, what it must satisfy) of a typed config value
+ANY = (lambda v: True, "")
+AT_LEAST_0 = (lambda v: v >= 0, "be >= 0")
+AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+ABOVE_0 = (lambda v: v > 0, "be > 0")
+FACTOR_VALUE = ((str, int, float), *ANY)
+PER_LOSS_KIND = {kind: (float, *AT_LEAST_0) for kind in "DAI"}
+PER_FACTOR = {str: (float, *AT_LEAST_0)}
+
+# The type and range of every config key; `_checked` reads it.  A dict is a
+# section that takes only its own keys, where a `str` key stands for any key
+# (a factor name).  A list is a list: with one rule, of any length, each item
+# following it; with n > 1 rules, exactly n items, item i following rule i.
+# A tuple is (type, test, what the value must satisfy).  No default lives
+# here: a key the config leaves out keeps the default of the parameter it
+# feeds (TeacherConfig, TrainConfig, build_teacher's DEFAULT_ARCH,
+# DEFAULT_CERT_CONSTANTS, ...).
+SCHEMA = {
+    "seed": (int, *AT_LEAST_0),
+    "data": {
+        "counts": {split: (int, *AT_LEAST_1) for split in ("train", "calibration", "test")},
+        "image_size": [(int, lambda v: v >= 16, "be >= 16")] * 2,
+        "pairs_per_factor": (int, *AT_LEAST_1),
+        "noise": (float, *AT_LEAST_0),
+        "factors": [{"name": (str, *ANY), "observed_values": [FACTOR_VALUE],
+                     "train_values": [FACTOR_VALUE],
+                     "render": (str, lambda v: v in RENDER_ROLES,
+                                f"be one of {', '.join(RENDER_ROLES)}")}],
+    },
+    "teacher": {
+        "arch": {"input_shape": [(int, *AT_LEAST_1)] * 3,
+                 "widths": [(int, *AT_LEAST_1)],
+                 "kernel": (int, *AT_LEAST_1), "stride": (int, *AT_LEAST_1),
+                 "padding": (int, *AT_LEAST_0), "latent_dim": (int, *AT_LEAST_1),
+                 "rep_dims": {str: [(int, *AT_LEAST_0)]},
+                 "gain": (float, *ABOVE_0), "slope": (float, *ANY),
+                 "seed": (int, *AT_LEAST_0), "init_norm_slack": (float, *AT_LEAST_0)},
+        "epochs": (int, *AT_LEAST_0), "batch_size": (int, *AT_LEAST_1),
+        "lr": (float, *ABOVE_0), "decoder_hidden": (int, *AT_LEAST_1),
+        "kl_weight": (float, *ANY), "recon_weight": (float, *ANY),
+        "align_penalty": (float, *ANY), "align_reward": (float, *ANY),
+    },
+    "distill": {
+        "epochs": (int, *AT_LEAST_1), "batch_size": (int, *AT_LEAST_1),
+        "lr": (float, *ABOVE_0),
+        "ratio": (float, lambda v: 0.1 <= v <= 0.9, "lie in [0.1, 0.9]"),
+        "early_stop_hinge": (float, *ANY), "early_stop_dloss": (float, *ANY),
+        "early_stop_patience": (int, *AT_LEAST_0),
+        "margins": {str: [(float, *AT_LEAST_0)] * 2},       # factor: [adapt, isolate]
+        "dual_init": {"A": PER_FACTOR, "I": PER_FACTOR},
+        "dual_rates": {"A": PER_FACTOR, "I": PER_FACTOR},
+        "spectral_clip": {"enabled": (bool, *ANY), "theta": (float, *ABOVE_0)},
+    },
+    "cert": {
+        "kappa": PER_LOSS_KIND, "loss_bound": PER_LOSS_KIND,
+        "omega": (float, *AT_LEAST_0),
+        "delta": (float, lambda v: 0 < v < 1, "lie in (0, 1)"),
+        "m": {kind: (int, *AT_LEAST_1) for kind in "DAI"},
+        "m_grid": [(int, *AT_LEAST_1)],
+    },
+    "ood": {"percentile": (float, lambda v: 0 <= v <= 100, "lie in [0, 100]")},
+    "bench": {"runs": (int, *AT_LEAST_1)},
 }
 
-CONFIG_SCHEMA = {
-    "seed": None,
-    "data": {"counts": {"train", "calibration", "test"},
-             "image_size": None, "pairs_per_factor": None, "factors": None,
-             "noise": None},
-    "teacher": set(TEACHER_KEYS),
-    "distill": {*DISTILL_KEYS, "margins", "dual_init", "dual_rates",
-                "spectral_clip"},
-    "cert": {*DEFAULT_CERT_CONSTANTS, "m_grid"},
-    "ood": {"percentile"},
-    "bench": {"runs"},
-}
 
-
-def _check_keys(obj: dict, allowed, ctx: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{key}' in {ctx}")
-
-
-def _typed(value, kind: type, key: str):
-    """value as `kind`, or a ConfigError naming the config key.  A float key
-    also takes an int; a bool is not a number."""
-    ok = isinstance(value, (int, float) if kind is float else kind)
-    if not ok or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"config key '{key}' must be {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def _in_range(value, ok: bool, key: str, what: str):
-    """value, or a ConfigError naming the config key when not `ok`."""
-    if not ok:
+def _checked(value, rule, key: str):
+    """A typed copy of `value` that follows `rule` (see SCHEMA), or a
+    ConfigError naming the dotted config `key`.  A float key takes a finite
+    int or float and gives a float; a bool is not a number."""
+    if isinstance(rule, dict):
+        out = {}
+        for k, v in _checked(value, (dict, *ANY), key).items():
+            sub = rule.get(k, rule.get(str))
+            if sub is None:
+                raise ConfigError(f"unknown config key '{k}' in {key or 'config'}")
+            out[k] = _checked(v, sub, f"{key}.{k}" if key else k)
+        return out
+    if isinstance(rule, list):
+        items = _checked(value, (list, *ANY), key)
+        if len(rule) > 1 and len(items) != len(rule):
+            raise ConfigError(f"config key '{key}' must have {len(rule)} items, "
+                              f"got {value!r}")
+        rules = rule if len(rule) > 1 else rule * len(items)
+        return [_checked(v, r, f"{key}[{i}]")
+                for i, (v, r) in enumerate(zip(items, rules))]
+    kind, test, what = rule
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or (isinstance(value, bool) and kind is not bool)
+            or (kind is float and not abs(value) <= sys.float_info.max)):
+        name = (" or ".join(t.__name__ for t in kind) if isinstance(kind, tuple)
+                else kind.__name__)
+        raise ConfigError(f"config key '{key}' must be {name}, got {value!r}")
+    if not test(value):
         raise ConfigError(f"config key '{key}' must {what}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
-def _typed_keys(section: dict, keys: dict, ctx: str, prefix: str = "") -> dict:
-    """The keys of `keys` that `section` sets, typed and range-checked by
-    KEY_RANGES, as keyword arguments named prefix + key; an unset key is left
-    to its parameter's default."""
-    out = {}
-    for key, kind in keys.items():
-        if key in section:
-            name = f"{ctx}.{key}"
-            v = _typed(section[key], kind, name)
-            ok, what = KEY_RANGES.get(name, (lambda v: True, ""))
-            out[prefix + key] = _in_range(v, ok(v), name, what)
-    return out
-
-
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple:
+    """(raw, checked): the JSON config at `path`, and its typed copy once
+    every key has passed SCHEMA."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
@@ -103,18 +132,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _check_keys(cfg, CONFIG_SCHEMA, "config")
-    for section, allowed in CONFIG_SCHEMA.items():
-        if allowed is None or section not in cfg:
-            continue
-        if not isinstance(cfg[section], dict):
-            raise ConfigError(f"config section '{section}' must be an object")
-        _check_keys(cfg[section], allowed, f"section '{section}'")
-    counts = _typed(cfg.get("data", {}).get("counts", {}), dict, "data.counts")
-    _check_keys(counts, CONFIG_SCHEMA["data"]["counts"], "data.counts")
-    for key, n in counts.items():
-        _typed(n, int, f"data.counts.{key}")
-    return cfg
+    return cfg, _checked(cfg, SCHEMA, "")
 
 
 def config_hash(cfg: dict) -> str:
@@ -122,15 +140,14 @@ def config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _provenance(cfg: dict, seed: int) -> dict:
-    return {"config_sha256": config_hash(cfg), "seed": seed,
-            "version": __version__}
-
-
-def _seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _typed(cfg.get("seed", 0), int, "seed")
+def _setup(args) -> tuple:
+    """(checked config, seed, provenance) of a stage.  The provenance hashes
+    the raw config, so that typing a value does not change the hash."""
+    raw, cfg = load_config(args.config)
+    seed = (cfg.get("seed", 0) if args.seed is None
+            else _checked(args.seed, SCHEMA["seed"], "seed"))
+    return cfg, seed, {"config_sha256": config_hash(raw), "seed": seed,
+                       "version": __version__}
 
 
 def _factor_specs(cfg: dict):
@@ -139,9 +156,7 @@ def _factor_specs(cfg: dict):
         return default_factor_specs()
     specs = []
     for s in raw:
-        _check_keys(s, {"name", "observed_values", "train_values", "render"},
-                    "factor spec")
-        for key in ("name", "observed_values", "train_values", "render"):
+        for key in SCHEMA["data"]["factors"][0]:
             if key not in s:
                 raise ConfigError(f"factor spec missing field '{key}'")
         specs.append(FactorSpec(s["name"], tuple(s["observed_values"]),
@@ -149,81 +164,24 @@ def _factor_specs(cfg: dict):
     return specs
 
 
-def _margins(raw: dict | None) -> dict | None:
-    """{factor: [adapt, isolate]} -> {("A"|"I", factor): margin}."""
-    if raw is None:
-        return None
-    out = {}
-    for f, pair in _typed(raw, dict, "distill.margins").items():
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"margins for '{f}' must be [adapt, isolate]")
-        for i, kind in enumerate("AI"):
-            v = _typed(pair[i], float, f"distill.margins.{f}[{i}]")
-            out[(kind, f)] = _in_range(v, v >= 0, f"distill.margins.{f}[{i}]", "be >= 0")
-    return out
-
-
-def _dual_table(raw: dict | None, what: str) -> dict | None:
-    """{"A": {factor: v}, "I": {factor: v}} -> {("A"|"I", factor): v}."""
-    if raw is None:
-        return None
-    _check_keys(_typed(raw, dict, what), {"A", "I"}, what)
-    out = {}
-    for kind, table in raw.items():
-        for f, v in _typed(table, dict, f"{what}.{kind}").items():
-            v = _typed(v, float, f"{what}.{kind}.{f}")
-            if v < 0:
-                raise ConfigError(f"{what}[{kind}][{f}] must be >= 0")
-            out[(kind, f)] = v
-    return out
-
-
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    d = cfg.get("distill", {})
-    clip = _typed(d.get("spectral_clip", {}), dict, "distill.spectral_clip")
-    _check_keys(clip, CLIP_KEYS, "distill.spectral_clip")
-    return TrainConfig(
-        seed=seed,
-        margins=_margins(d.get("margins")),
-        dual_init=_dual_table(d.get("dual_init"), "distill.dual_init"),
-        dual_rates=_dual_table(d.get("dual_rates"), "distill.dual_rates"),
-        **_typed_keys(d, DISTILL_KEYS, "distill"),
-        **_typed_keys(clip, CLIP_KEYS, "distill.spectral_clip", "spectral_clip_"))
+    """The checked distill section as a TrainConfig; each per-factor table
+    becomes a {("A"|"I", factor): value} table."""
+    d = dict(cfg.get("distill", {}))
+    if "margins" in d:
+        d["margins"] = {(kind, f): pair[i] for f, pair in d["margins"].items()
+                        for i, kind in enumerate("AI")}
+    for table in ("dual_init", "dual_rates"):
+        if table in d:
+            d[table] = {(kind, f): v for kind, row in d[table].items()
+                        for f, v in row.items()}
+    clip = d.pop("spectral_clip", {})
+    return TrainConfig(seed=seed, **d,
+                       **{f"spectral_clip_{k}": v for k, v in clip.items()})
 
 
 def _teacher_config(cfg: dict, seed: int) -> TeacherConfig:
-    return TeacherConfig(seed=seed, **_typed_keys(cfg.get("teacher", {}),
-                                                  TEACHER_KEYS, "teacher"))
-
-
-def _cert_config(cfg: dict):
-    """The cert section as (constants, m_grid), each value typed like its
-    DEFAULT_CERT_CONSTANTS entry and in range: delta in (0, 1), a sample
-    count >= 1, any other constant >= 0; a per-kind table may name only D,
-    A, I."""
-    def checked(v, default, key, name):
-        v = _typed(v, type(default), key)
-        if name == "delta":
-            return _in_range(v, 0 < v < 1, key, "lie in (0, 1)")
-        if name in ("m", "m_grid"):
-            return _in_range(v, v >= 1, key, "be a sample count >= 1")
-        return _in_range(v, v >= 0, key, "be >= 0")
-
-    c = dict(cfg.get("cert", {}))
-    m_grid = c.pop("m_grid", None)
-    if m_grid is not None:
-        m_grid = [checked(m, 1, "cert.m_grid", "m_grid")
-                  for m in _typed(m_grid, list, "cert.m_grid")]
-    consts = {}
-    for key, v in c.items():
-        default = DEFAULT_CERT_CONSTANTS[key]
-        if isinstance(default, dict):
-            _check_keys(_typed(v, dict, f"cert.{key}"), default, f"cert.{key}")
-            consts[key] = {k: checked(x, default[k], f"cert.{key}.{k}", key)
-                           for k, x in v.items()}
-        else:
-            consts[key] = checked(v, default, f"cert.{key}", key)
-    return consts, m_grid
+    return TeacherConfig(seed=seed, **cfg.get("teacher", {}))
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -234,21 +192,14 @@ def _write_json(path: str, obj: dict) -> None:
 # -- subcommands -----------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
+    cfg, seed, prov = _setup(args)
     d = cfg.get("data", {})
     counts = d.get("counts", {"train": 50, "calibration": 25, "test": 25})
-    size = _typed(d.get("image_size", [32, 32]), list, "data.image_size")
-    if len(size) != 2:
-        raise ConfigError("config key 'data.image_size' must be [height, width], "
-                          f"got {size!r}")
-    size = tuple(_typed(n, int, "data.image_size") for n in size)
-    specs = _factor_specs(cfg)
-    ds = data_mod.generate(specs, counts, image_size=size, seed=seed,
-                           **_typed_keys(d, {"noise": float}, "data"))
-    data_mod.build_all_pairs(ds, _typed(d.get("pairs_per_factor", 300), int,
-                                        "data.pairs_per_factor"), seed=seed)
-    data_mod.save(ds, args.out, meta=_provenance(cfg, seed))
+    ds = data_mod.generate(_factor_specs(cfg), counts,
+                           image_size=tuple(d.get("image_size", (32, 32))), seed=seed,
+                           **({"noise": d["noise"]} if "noise" in d else {}))
+    data_mod.build_all_pairs(ds, d.get("pairs_per_factor", 300), seed=seed)
+    data_mod.save(ds, args.out, meta=prov)
     parts = data_mod.partition(ds)
     print(f"wrote {len(ds.images)} samples to {args.out}")
     for p in parts:
@@ -257,26 +208,23 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
+    cfg, seed, prov = _setup(args)
     ds = data_mod.load(args.data)
     model = train_teacher(ds, _teacher_config(cfg, seed))
-    save_weights(model, args.out, meta=_provenance(cfg, seed))
+    save_weights(model, args.out, meta=prov)
     print(f"teacher saved to {args.out} "
           f"({model.parameter_count()} parameters)")
     return 0
 
 
 def cmd_distill(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
+    cfg, seed, prov = _setup(args)
     ds = data_mod.load(args.data)
     teacher = load_weights(args.teacher)
     student, trace = distill(teacher, ds, _train_config(cfg, seed))
-    meta = _provenance(cfg, seed)
-    save_weights(student, args.out, meta=meta)
+    save_weights(student, args.out, meta=prov)
     if args.trace:
-        trace.to_csv(args.trace, meta=meta)
+        trace.to_csv(args.trace, meta=prov)
     last = trace.records[-1]
     print(f"student saved to {args.out} "
           f"({student.parameter_count()} parameters, "
@@ -285,15 +233,14 @@ def cmd_distill(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
+    cfg, seed, prov = _setup(args)
     ds = data_mod.load(args.data)
     model = load_weights(args.model)
-    consts, m_grid = _cert_config(cfg)
-    report = certify(model, ds, constants=consts, m_grid=m_grid)
-    report["provenance"] = _provenance(cfg, seed)
+    cert = dict(cfg.get("cert", {}))
+    report = certify(model, ds, m_grid=cert.pop("m_grid", None), constants=cert)
+    report["provenance"] = prov
     _write_json(args.out_json, report)
-    meta = {k: str(v) for k, v in report["provenance"].items()}
+    meta = {k: str(v) for k, v in prov.items()}
     cols = (["m"] + [f"dudley_{k}" for k in ("D", "A", "I")]
             + [f"zeta_{k}" for k in ("D", "A", "I")] + list(meta))
     with open(args.out_csv, "w", newline="", encoding="utf-8") as f:
@@ -309,15 +256,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    seed = _seed(cfg, args)
-    ood = _typed_keys(cfg.get("ood", {}), {"percentile": float}, "ood")
-    bench = _typed_keys(cfg.get("bench", {}), {"runs": int}, "bench", "bench_")
+    cfg, seed, prov = _setup(args)
     ds = data_mod.load(args.data)
     teacher = load_weights(args.teacher)
     student = load_weights(args.student)
-    report = evaluate_models(teacher, student, ds, seed=seed, **ood, **bench)
-    report["provenance"] = _provenance(cfg, seed)
+    report = evaluate_models(teacher, student, ds, seed=seed, **cfg.get("ood", {}),
+                             **{f"bench_{k}": v for k, v in cfg.get("bench", {}).items()})
+    report["provenance"] = prov
     _write_json(args.out, report)
     for who in ("teacher", "student"):
         aur = " ".join(f"{f}={v:.3f}" for f, v in report["auroc"][who].items())

@@ -31,6 +31,9 @@ class ParseError(ValueError):
     """Malformed dataset manifest or image file."""
 
 
+RENDER_ROLES = ("overlay-intensity", "background-pattern")
+
+
 @dataclass(frozen=True)
 class FactorSpec:
     name: str
@@ -45,8 +48,11 @@ class FactorSpec:
             raise ConfigError(f"factor '{self.name}' needs >=2 train values")
         if not set(self.train_values) <= set(self.observed_values):
             raise ConfigError(f"factor '{self.name}': train values not observed")
-        if self.render not in ("overlay-intensity", "background-pattern"):
+        if self.render not in RENDER_ROLES:
             raise ConfigError(f"factor '{self.name}': unknown render role '{self.render}'")
+        if self.render == "overlay-intensity" and not all(
+                isinstance(v, (int, float)) for v in self.observed_values):
+            raise ConfigError(f"factor '{self.name}': an intensity must be a number")
 
 
 @dataclass

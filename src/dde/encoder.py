@@ -239,22 +239,25 @@ class EncoderModel:
         return hit[2]
 
 
+# build_teacher's architecture; each key of its `config` overrides one entry
+DEFAULT_ARCH = dict(
+    input_shape=(3, 32, 32),
+    widths=(32, 64, 128, 256, 512),
+    kernel=3, stride=2, padding=1,
+    latent_dim=30,
+    rep_dims={"haze": [3], "backdrop": [6]},
+    gain=DEFAULT_GAIN, slope=DEFAULT_SLOPE,
+    seed=0, init_norm_slack=4898.0,
+)
+
+
 def build_teacher(config: dict | None = None) -> EncoderModel:
     """Five standardized stride-2 conv layers (32..512 wide) plus mu/logvar
-    linear heads, N=30 by default."""
-    cfg = dict(
-        input_shape=(3, 32, 32),
-        widths=(32, 64, 128, 256, 512),
-        kernel=3, stride=2, padding=1,
-        latent_dim=30,
-        rep_dims={"haze": [3], "backdrop": [6]},
-        gain=DEFAULT_GAIN, slope=DEFAULT_SLOPE,
-        seed=0, init_norm_slack=4898.0,
-    )
+    linear heads, N=30 by default (DEFAULT_ARCH)."""
     for key in config or {}:
-        if key not in cfg:
+        if key not in DEFAULT_ARCH:
             raise ConfigError(f"unknown config key '{key}' in teacher.arch")
-    cfg.update(config or {})
+    cfg = {**DEFAULT_ARCH, **(config or {})}
     layers = []
     cin = cfg["input_shape"][0]
     hw = cfg["input_shape"][1:]
@@ -365,7 +368,9 @@ def sample(latent: GaussianLatent, rng: Rng | None = None, eps=None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Weight file: magic "DDE1", uint64 header length, JSON header, float64 LE
-# payload (per layer: weight then bias, then the snapshot kernels).
+# payload (per layer: weight then bias, then the snapshot kernels), then the
+# uint32 LE CRC-32 of every byte before it, so that an edited header fails
+# the checksum as an edited weight does.
 # ---------------------------------------------------------------------------
 
 def save_weights(model: EncoderModel, path: str, meta: dict | None = None) -> None:
@@ -383,16 +388,15 @@ def save_weights(model: EncoderModel, path: str, meta: dict | None = None) -> No
         "input_shape": list(model.input_shape),
         "init_norm_slack": model.init_norm_slack,
         "parameter_count": model.parameter_count(),
-        "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
     }
     if meta:
         header["meta"] = meta
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
+    head = MAGIC + struct.pack("<Q", len(hjson)) + hjson
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(hjson)))
-        f.write(hjson)
+        f.write(head)
         f.write(payload)
+        f.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
 
 
 def load_weights(path: str) -> EncoderModel:
@@ -404,9 +408,6 @@ def load_weights(path: str) -> EncoderModel:
     try:
         (hlen,) = struct.unpack("<Q", blob[4:12])
         header = json.loads(blob[12:12 + hlen].decode("utf-8"))
-        payload = blob[12 + hlen:]
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != header["crc32"]:
-            raise CorruptWeightsError(f"{path}: checksum mismatch")
         layers = [LayerSpec(**s) for s in header["layers"]]
         model = EncoderModel.__new__(EncoderModel)
         model.input_shape = tuple(header["input_shape"])
@@ -419,7 +420,10 @@ def load_weights(path: str) -> EncoderModel:
     except (struct.error, ValueError, KeyError, TypeError, AttributeError) as e:
         # ValueError covers bad JSON, bad UTF-8 and an invalid layer spec
         raise CorruptWeightsError(f"{path}: unreadable header: {e!r}") from e
-
+    # checked after the header parses, so that a damaged header is named as such
+    if blob[-4:] != struct.pack("<I", zlib.crc32(memoryview(blob)[:-4])):
+        raise CorruptWeightsError(f"{path}: checksum mismatch")
+    payload = blob[12 + hlen:-4]
     off = 0
 
     def read(shape):

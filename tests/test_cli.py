@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import shutil
 import struct
@@ -9,6 +11,7 @@ import pytest
 from dde import cli
 from dde.cli import main, load_config, config_hash
 from dde.data import ConfigError
+from dde.encoder import DEFAULT_ARCH
 from dde.spectral import DEFAULT_CERT_CONSTANTS
 from dde.train import TeacherConfig, TrainConfig
 from dde import data
@@ -186,6 +189,26 @@ def _missing_header_key(blob):
     return blob[:4] + struct.pack("<Q", len(hjson)) + hjson + blob[12 + hlen:]
 
 
+def _edited_gain(blob):
+    (hlen,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + hlen])
+    header["layers"][0]["gain"] = 9.0
+    hjson = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:4] + struct.pack("<Q", len(hjson)) + hjson + blob[12 + hlen:]
+
+
+def test_edited_weight_header_exits_3(workdir, tmp_path, capsys):
+    # the header parses and describes a valid model, but the checksum covers it
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_edited_gain((workdir / "student.bin").read_bytes()))
+    rc = main(["certify", "--config", str(workdir / "cfg.json"),
+               "--data", str(workdir / "ds"), "--model", str(bad),
+               "--out-json", str(tmp_path / "c.json"),
+               "--out-csv", str(tmp_path / "z.csv")])
+    assert rc == 3
+    assert "checksum mismatch" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", [_cut_in_header, _cut_before_header_length,
                                     _bad_utf8_header_byte, _missing_header_key])
 def test_unreadable_weight_header_exits_3(workdir, tmp_path, capsys, damage):
@@ -214,11 +237,36 @@ class TestSettings:
             seed=seed, kl_weight=0.1, arch={"latent_dim": 10})
 
     def test_typed_keys_name_dataclass_fields(self):
-        for keys, cls, prefix in ((cli.TEACHER_KEYS, TeacherConfig, ""),
-                                  (cli.DISTILL_KEYS, TrainConfig, ""),
-                                  (cli.CLIP_KEYS, TrainConfig, "spectral_clip_")):
-            fields = set(cls.__dataclass_fields__)
-            assert {prefix + k for k in keys} <= fields, keys
+        # each teacher and distill key names one field of its dataclass (a
+        # spectral_clip key with the prefix "spectral_clip_"), every field
+        # but the seed has a key, and a scalar default passes its key's rule
+        # with its own type
+        distill = dict(cli.SCHEMA["distill"])
+        clip = distill.pop("spectral_clip")
+        sections = ((cli.SCHEMA["teacher"], TeacherConfig, ""),
+                    (distill, TrainConfig, ""), (clip, TrainConfig, "spectral_clip_"))
+        for cls in (TeacherConfig, TrainConfig):
+            assert ({prefix + k for rules, c, prefix in sections if c is cls for k in rules}
+                    == {f.name for f in dataclasses.fields(cls)} - {"seed"})
+        for rules, cls, prefix in sections:
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            for key, rule in rules.items():
+                default = defaults[prefix + key]
+                if isinstance(rule, tuple):
+                    checked = cli._checked(default, rule, key)
+                    assert json.dumps(checked) == json.dumps(default), key
+
+    def test_schema_matches_the_library_defaults(self):
+        # build_teacher's arch and the cert constants, written as a config,
+        # pass their sections with their own types, and name every key
+        cert = dict(cli.SCHEMA["cert"])
+        del cert["m_grid"]
+        for rules, defaults in ((cli.SCHEMA["teacher"]["arch"], DEFAULT_ARCH),
+                                (cert, DEFAULT_CERT_CONSTANTS)):
+            as_config = json.loads(json.dumps(defaults))
+            assert set(rules) == set(as_config)
+            checked = cli._checked(as_config, rules, "section")
+            assert json.dumps(checked) == json.dumps(as_config)
 
     def test_partial_cert_kappa_keeps_other_kinds(self, workdir, tmp_path):
         p = tmp_path / "c.json"
@@ -231,6 +279,10 @@ class TestSettings:
         assert consts["kappa"] == {**DEFAULT_CERT_CONSTANTS["kappa"], "D": 1.0}
         assert consts["m"] == {**DEFAULT_CERT_CONSTANTS["m"], "A": 10}
         assert consts["omega"] == DEFAULT_CERT_CONSTANTS["omega"]
+
+
+HAZE = {"name": "haze", "observed_values": [0.0, 0.25, 0.5, 0.75],
+        "train_values": [0.25, 0.5], "render": "overlay-intensity"}
 
 
 def _stage_args(stage, workdir, tmp_path):
@@ -255,14 +307,14 @@ def _stage_args(stage, workdir, tmp_path):
     ("gen-data", {"data": {"image_size": 5}},
      "config key 'data.image_size' must be list"),
     ("gen-data", {"data": {"image_size": [32, "x"]}},
-     "config key 'data.image_size' must be int"),
+     "config key 'data.image_size[1]' must be int"),
     ("gen-data", {"data": {"counts": {"train": "x", "calibration": 1, "test": 1}}},
      "config key 'data.counts.train' must be int"),
     ("certify", {"cert": {"omega": "x"}}, "config key 'cert.omega' must be float"),
     ("certify", {"cert": {"kappa": {"D": 1.0, "X": 1.0}}},
      "unknown config key 'X' in cert.kappa"),
     ("certify", {"cert": {"m": {"D": 1.5}}}, "config key 'cert.m.D' must be int"),
-    ("certify", {"cert": {"m_grid": [0, 10]}}, "config key 'cert.m_grid'"),
+    ("certify", {"cert": {"m_grid": [0, 10]}}, "'cert.m_grid[0]' must be"),
     ("train-teacher", {"teacher": {"epochs": 1, "arch": {"widht": [2]}}},
      "unknown config key 'widht' in teacher.arch"),
     ("distill", {"distill": {"margins": {"hze": [0.1, 0.1]}}},
@@ -297,6 +349,34 @@ def _stage_args(stage, workdir, tmp_path):
     ("train-teacher", {"teacher": {"arch": {**SMALL_CFG["teacher"]["arch"],
                                             "rep_dims": {"hze": [1]}}}},
      "no representative dims for the dataset's factor 'haze'"),
+    ("gen-data", {"data": {"factors": 5}}, "config key 'data.factors' must be list"),
+    ("gen-data", {"data": {"factors": [5]}}, "config key 'data.factors[0]' must be dict"),
+    ("gen-data", {"data": {"factors": [{**HAZE, "observed_values": 3}]}},
+     "config key 'data.factors[0].observed_values' must be list"),
+    ("gen-data", {"data": {"factors": [{**HAZE, "train_values": [[0.25], 0.5]}]}},
+     "config key 'data.factors[0].train_values[0]' must be str or int or float"),
+    ("gen-data", {"data": {"factors": [{**HAZE, "observed_values": ["a", "b"],
+                                        "train_values": ["a", "b"]}]}},
+     "factor 'haze': an intensity must be a number"),
+    ("gen-data", {"data": {"pairs_per_factor": 0}},
+     "config key 'data.pairs_per_factor' must be >= 1"),
+    ("gen-data", {"distill": {"epochs": 0}}, "config key 'distill.epochs' must be >= 1"),
+    ("gen-data", {"seed": -1}, "config key 'seed' must be >= 0"),
+    ("train-teacher", {"teacher": {"arch": {"widths": "ab"}}},
+     "config key 'teacher.arch.widths' must be list"),
+    ("train-teacher", {"teacher": {"decoder_hidden": 0}},
+     "config key 'teacher.decoder_hidden' must be >= 1"),
+    ("train-teacher", {"teacher": {"arch": {"kernel": 0}}},
+     "config key 'teacher.arch.kernel' must be >= 1"),
+    ("train-teacher", {"teacher": {"arch": {"stride": 0}}},
+     "config key 'teacher.arch.stride' must be >= 1"),
+    ("train-teacher", {"teacher": {"arch": {"input_shape": [3, 32]}}},
+     "config key 'teacher.arch.input_shape' must have 3 items"),
+    ("distill", {"distill": {"ratio": 0.05}}, "config key 'distill.ratio' must lie in [0.1, 0.9]"),
+    ("distill", {"distill": {"batch_size": 0}}, "config key 'distill.batch_size' must be >= 1"),
+    ("distill", {"distill": {"lr": 0}}, "config key 'distill.lr' must be > 0"),
+    ("gen-data", {"data": {"noise": math.inf}}, "config key 'data.noise' must be float"),
+    ("certify", {"cert": {"omega": 10**400}}, "config key 'cert.omega' must be float"),
 ])
 def test_bad_setting_exits_2_naming_its_key(workdir, tmp_path, capsys, stage,
                                             section, message):
