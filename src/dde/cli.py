@@ -194,8 +194,7 @@ def _write_json(path: str, obj: dict) -> None:
 def cmd_gen_data(args) -> int:
     cfg, seed, prov = _setup(args)
     d = cfg.get("data", {})
-    counts = d.get("counts", {"train": 50, "calibration": 25, "test": 25})
-    ds = data_mod.generate(_factor_specs(cfg), counts,
+    ds = data_mod.generate(_factor_specs(cfg), d.get("counts"),
                            image_size=tuple(d.get("image_size", (32, 32))), seed=seed,
                            **({"noise": d["noise"]} if "noise" in d else {}))
     data_mod.build_all_pairs(ds, d.get("pairs_per_factor", 300), seed=seed)

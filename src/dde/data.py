@@ -154,12 +154,16 @@ def _partition_id(assignment, specs) -> str:
     return "|".join(f"{s.name}={assignment[s.name]}" for s in specs)
 
 
-def generate(specs, counts: dict, image_size=(32, 32), seed: int = 0,
+DEFAULT_COUNTS = {"train": 50, "calibration": 25, "test": 25}
+
+
+def generate(specs, counts: dict | None = None, image_size=(32, 32), seed: int = 0,
              noise: float = 0.04) -> FactorDataset:
     """Build the dataset: every factor combination gets a test block; the
     all-train combinations also get train and calibration blocks.
 
-    counts: {"train": n, "calibration": n, "test": n} samples per partition.
+    counts: {"train": n, "calibration": n, "test": n} samples per partition;
+    a split that it leaves out takes its DEFAULT_COUNTS entry.
     noise scales the per-pixel Gaussian perturbation (task difficulty knob).
     Deterministic per seed; per-sample noise comes from (seed, sample index).
     """
@@ -168,8 +172,9 @@ def generate(specs, counts: dict, image_size=(32, 32), seed: int = 0,
     h, w = image_size
     if h < 16 or w < 16:
         raise ConfigError("image size must be at least 16x16")
-    for key in ("train", "calibration", "test"):
-        if counts.get(key, 0) < 1:
+    counts = {**DEFAULT_COUNTS, **(counts or {})}
+    for key, n in counts.items():
+        if n < 1:
             raise ConfigError(f"counts['{key}'] must be >= 1")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):

@@ -7,15 +7,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from .tensor import Tensor, Rng, conv2d, ContractError
 from .data import ConfigError
-from .spectral import clip_layer, layer_norm
+from .spectral import layer_norm
 
 LOGVAR_BOUND = 4.0
 DEFAULT_GAIN = 1.7
@@ -29,6 +30,8 @@ class CorruptWeightsError(RuntimeError):
 
 @dataclass
 class LayerSpec:
+    """One layer.  A conv layer runs its kernel through scaled weight
+    standardization; a linear layer (a latent head) runs it as it is."""
     kind: str                   # "conv" | "linear"
     in_width: int
     out_width: int
@@ -36,14 +39,19 @@ class LayerSpec:
     stride: int = 1
     padding: int = 0
     slope: float = DEFAULT_SLOPE
-    standardized: bool = False
     gain: float = DEFAULT_GAIN
 
     def __post_init__(self):
-        if self.in_width < 1 or self.out_width < 1:
-            raise ConfigError("layer widths must be >= 1")
-        if self.gain <= 0:
-            raise ConfigError("gain must be positive")
+        if self.kind not in ("conv", "linear"):
+            raise ConfigError(f"layer kind must be 'conv' or 'linear', got {self.kind!r}")
+        least = {"in_width": 1, "out_width": 1} | (
+            {"k": 1, "stride": 1, "padding": 0} if self.kind == "conv" else {})
+        for name, low in least.items():
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < low:
+                raise ConfigError(f"layer {name} must be an integer >= {low}, got {v!r}")
+        if not (0 < self.gain < math.inf and math.isfinite(self.slope)):
+            raise ConfigError("gain must be positive and finite, and slope finite")
 
     @property
     def weight_shape(self) -> tuple:
@@ -117,27 +125,48 @@ def standardize(w: Tensor, gain: float) -> Tensor:
 class EncoderModel:
     """Layer specs + weights for a teacher or student Gaussian encoder.
 
-    The trunk is a stack of (standardized) conv layers with leaky-ReLU; the
+    The trunk is a stack of standardized conv layers with leaky-ReLU; the
     last two layers are parallel linear heads producing mu and logvar of
     size N.  An effective-kernel snapshot at initialization supports
-    operator-drift tracking.
+    operator-drift tracking.  Without `params` the weights are drawn from
+    `seed` and every layer's operator norm is bounded by 1 + slack; with
+    them (a loaded model) `params` and `snapshot` are kept as they are.
     """
 
-    def __init__(self, input_shape, layers, latent_dim, rep_dims, seed,
-                 init_norm_slack):
+    def __init__(self, input_shape, layers, latent_dim, rep_dims,
+                 init_norm_slack, seed=0, params=None, snapshot=None):
         self.input_shape = tuple(input_shape)
         self.layers = list(layers)
         self.latent_dim = int(latent_dim)
         self.rep_dims = {f: sorted(int(i) for i in ix) for f, ix in rep_dims.items()}
         self.init_norm_slack = float(init_norm_slack)
-        self._validate_rep_dims()
-        self.params = []
-        self._init_params(Rng(seed))
-        self.snapshot = [self.effective_kernel(i).copy() for i in range(len(self.layers))]
+        self._validate()
+        self.params, self.snapshot = params, snapshot
+        if params is None:
+            rng = Rng(seed)
+            self.params = []
+            for spec in self.layers:
+                limit = math.sqrt(3.0 / math.prod(spec.weight_shape[1:]))
+                self.params.append({
+                    "w": Tensor(rng.uniform(-limit, limit, spec.weight_shape),
+                                requires_grad=True),
+                    "b": Tensor(np.zeros(spec.out_width), requires_grad=True)})
+            clip_norms(self, 1.0 + self.init_norm_slack)
+            self.snapshot = [self.effective_kernel(li) for li in range(len(self.layers))]
 
     # -- construction ----------------------------------------------------
 
-    def _validate_rep_dims(self):
+    def _validate(self):
+        """Chained conv layers, two heads to the latent, disjoint rep dims."""
+        kinds = [s.kind for s in self.layers]
+        if kinds != ["conv"] * (len(kinds) - 2) + ["linear"] * 2:
+            raise ConfigError("an encoder is conv layers, then exactly two "
+                              "linear heads (mu, logvar)")
+        feat = math.prod(_trunk_output(self.input_shape, self.layers[:-2]))
+        for li, spec in enumerate(self.layers[-2:], len(self.layers) - 2):
+            if (spec.in_width, spec.out_width) != (feat, self.latent_dim):
+                raise ConfigError(f"layer {li} maps {spec.in_width} to {spec.out_width}, but "
+                                  f"a head maps the trunk's {feat} to {self.latent_dim}")
         seen = set()
         for f, ix in self.rep_dims.items():
             if not ix:
@@ -149,28 +178,17 @@ class EncoderModel:
                 raise ConfigError("representative dims must be disjoint across factors")
             seen |= s
 
-    def _init_params(self, rng: Rng):
-        spatial = self.layer_spatial()
-        for li, spec in enumerate(self.layers):
-            fan_in = int(np.prod(spec.weight_shape[1:]))
-            limit = math.sqrt(3.0 / fan_in)
-            w = rng.uniform(-limit, limit, spec.weight_shape)
-            # bound the initial operator norm by 1 + slack
-            bound = 1.0 + self.init_norm_slack
-            if spec.standardized:
-                # standardization is scale-invariant in W, so an oversized
-                # initial operator can only be shrunk through the gain
-                eff = _standardize_forward(w, spec.gain)[0]
-                sn = layer_norm(spec, eff, spatial[li])
-                if sn > bound:
-                    spec.gain *= bound / sn
-            elif spec.kind == "linear":
-                # a plain conv layer gets no initial check
-                w = clip_layer(spec, w, spatial[li], bound)
-            self.params.append({
-                "w": Tensor(w, requires_grad=True),
-                "b": Tensor(np.zeros(spec.out_width), requires_grad=True),
-            })
+    def check_fit(self, dataset) -> None:
+        """The dataset's images must have the model's input shape, and each
+        of its factors needs representative dims in the model."""
+        shape = tuple(dataset.images.shape[1:])
+        if shape != self.input_shape:
+            raise ConfigError(f"dataset images have shape {shape}, but the model "
+                              f"takes {self.input_shape}")
+        for s in dataset.specs:
+            if s.name not in self.rep_dims:
+                raise ConfigError(f"model has no representative dims for the "
+                                  f"dataset's factor '{s.name}'")
 
     def layer_spatial(self) -> list:
         """Input spatial size (H, W) seen by each layer."""
@@ -204,7 +222,8 @@ class EncoderModel:
 
     def freeze(self) -> None:
         """Take the weights off the tape and make them read-only, so that
-        each standardized kernel is folded once and reused by every encode."""
+        each conv layer's standardized kernel is folded once and reused by
+        every encode."""
         if self.frozen:
             return
         for t in self.trainable():
@@ -213,14 +232,14 @@ class EncoderModel:
         self._folded = {}
 
     def effective_kernel(self, li: int) -> np.ndarray:
-        """The operator actually applied by layer li (standardized if set).
+        """The operator actually applied by layer li (standardized if conv).
 
-        On a frozen model a standardized kernel is computed once and returned
+        On a frozen model a conv kernel is standardized once and returned
         read-only; it is folded again if the weight array or the gain changed.
         """
         spec = self.layers[li]
         w = self.params[li]["w"].data
-        if not spec.standardized:
+        if spec.kind != "conv":
             return w.copy()
         if not self.frozen:
             return _standardize_forward(w, spec.gain)[0]
@@ -239,6 +258,24 @@ class EncoderModel:
         return hit[2]
 
 
+def clip_norms(model: EncoderModel, theta: float) -> None:
+    """Bound every layer's operator norm by theta, in place.  A conv layer's
+    norm is linear in its gain (standardization is scale-invariant in W), so
+    an oversized one is scaled down through the gain; a linear kernel has its
+    singular values clipped at theta."""
+    spatial = model.layer_spatial()
+    for li, spec in enumerate(model.layers):
+        if spec.kind == "conv":
+            sn = layer_norm(spec, model.effective_kernel(li), spatial[li])
+            if sn > theta:
+                spec.gain *= theta / sn
+            continue
+        w = model.params[li]["w"]
+        u, s, vt = np.linalg.svd(w.data, full_matrices=False)
+        if s[0] > theta:
+            w.data = (u * np.minimum(s, theta)) @ vt
+
+
 # build_teacher's architecture; each key of its `config` overrides one entry
 DEFAULT_ARCH = dict(
     input_shape=(3, 32, 32),
@@ -251,6 +288,32 @@ DEFAULT_ARCH = dict(
 )
 
 
+def _trunk_output(input_shape, trunk) -> tuple:
+    """(C, H, W) of what the conv layers `trunk` make of an input of
+    `input_shape`; a ConfigError names the first layer that does not fit."""
+    if len(input_shape) != 3 or not all(isinstance(n, numbers.Integral) and n >= 1
+                                        for n in input_shape):
+        raise ConfigError(f"input_shape must be 3 integers >= 1, got {list(input_shape)}")
+    c, *hw = input_shape
+    for li, spec in enumerate(trunk):
+        if spec.in_width != c:
+            raise ConfigError(f"layer {li} takes {spec.in_width} channels, "
+                              f"but its input has {c}")
+        if min(spec.out_size(hw)) < 1:
+            raise ConfigError(f"layer {li}: kernel {spec.k} is larger than its "
+                              f"padded input {tuple(hw)} (padding {spec.padding})")
+        c, hw = spec.out_width, spec.out_size(hw)
+    return (c, *hw)
+
+
+def _with_heads(input_shape, trunk, latent_dim, rep_dims, **kwargs) -> EncoderModel:
+    """The encoder of the conv layers `trunk` plus mu and logvar linear
+    heads from the flattened trunk output to `latent_dim`."""
+    feat = math.prod(_trunk_output(input_shape, trunk))
+    heads = [LayerSpec("linear", feat, latent_dim) for _ in ("mu", "logvar")]
+    return EncoderModel(input_shape, trunk + heads, latent_dim, rep_dims, **kwargs)
+
+
 def build_teacher(config: dict | None = None) -> EncoderModel:
     """Five standardized stride-2 conv layers (32..512 wide) plus mu/logvar
     linear heads, N=30 by default (DEFAULT_ARCH)."""
@@ -258,52 +321,28 @@ def build_teacher(config: dict | None = None) -> EncoderModel:
         if key not in DEFAULT_ARCH:
             raise ConfigError(f"unknown config key '{key}' in teacher.arch")
     cfg = {**DEFAULT_ARCH, **(config or {})}
-    layers = []
-    cin = cfg["input_shape"][0]
-    hw = cfg["input_shape"][1:]
-    for wdt in cfg["widths"]:
-        if wdt < 1:
-            raise ConfigError("widths must be positive")
-        layers.append(LayerSpec("conv", cin, int(wdt), k=cfg["kernel"],
-                                stride=cfg["stride"], padding=cfg["padding"],
-                                slope=cfg["slope"], standardized=True,
-                                gain=cfg["gain"]))
-        cin = int(wdt)
-        hw = layers[-1].out_size(hw)
-    # feature dim after the trunk
-    feat = cin * hw[0] * hw[1]
-    n = int(cfg["latent_dim"])
-    layers.append(LayerSpec("linear", feat, n))   # mu head
-    layers.append(LayerSpec("linear", feat, n))   # logvar head
-    return EncoderModel(cfg["input_shape"], layers, n, cfg["rep_dims"],
-                        seed=cfg["seed"], init_norm_slack=cfg["init_norm_slack"])
+    widths = [cfg["input_shape"][0], *(int(w) for w in cfg["widths"])]
+    trunk = [LayerSpec("conv", cin, cout, k=cfg["kernel"], stride=cfg["stride"],
+                       padding=cfg["padding"], slope=cfg["slope"], gain=cfg["gain"])
+             for cin, cout in zip(widths, widths[1:])]
+    return _with_heads(cfg["input_shape"], trunk, int(cfg["latent_dim"]),
+                       cfg["rep_dims"], seed=cfg["seed"],
+                       init_norm_slack=cfg["init_norm_slack"])
 
 
 def compress(teacher: EncoderModel, r: float, seed: int = 1) -> EncoderModel:
-    """Shrink every layer width by ratio r (latent size and representative
-    dims unchanged); fresh initialization with its own snapshot."""
+    """Shrink each conv layer's width by ratio r, keeping the geometry, the
+    latent size and the representative dims; fresh init and snapshot."""
     if not 0.1 <= r <= 0.9:
         raise ConfigError(f"compression ratio {r} outside [0.1, 0.9]")
-    layers = []
-    prev = teacher.input_shape[0]
-    hw = teacher.input_shape[1:]
-    for spec in teacher.layers:
-        if spec.kind == "conv":
-            wdt = max(1, math.ceil((1.0 - r) * spec.out_width))
-            layers.append(LayerSpec("conv", prev, wdt, k=spec.k, stride=spec.stride,
-                                    padding=spec.padding, slope=spec.slope,
-                                    standardized=spec.standardized, gain=spec.gain))
-            prev = wdt
-            hw = spec.out_size(hw)
-        else:
-            # heads keep the latent size; their fan-in follows the shrunk trunk
-            # (conv geometry, and hence output spatial size, is unchanged)
-            layers.append(LayerSpec("linear", prev * hw[0] * hw[1], teacher.latent_dim,
-                                    slope=spec.slope, standardized=spec.standardized,
-                                    gain=spec.gain))
-    return EncoderModel(teacher.input_shape, layers, teacher.latent_dim,
-                        teacher.rep_dims, seed=seed,
-                        init_norm_slack=teacher.init_norm_slack)
+    trunk = []
+    for spec in teacher.layers[:-2]:
+        cin = trunk[-1].out_width if trunk else teacher.input_shape[0]
+        trunk.append(replace(
+            spec, in_width=cin, out_width=max(1, math.ceil((1.0 - r) * spec.out_width))))
+    return _with_heads(teacher.input_shape, trunk, teacher.latent_dim,
+                       teacher.rep_dims, seed=seed,
+                       init_norm_slack=teacher.init_norm_slack)
 
 
 def encode(model: EncoderModel, x) -> GaussianLatent:
@@ -318,29 +357,16 @@ def encode(model: EncoderModel, x) -> GaussianLatent:
         x = Tensor(x)
     batched = x.data.ndim == 4
     h = x if batched else x.reshape(1, *x.shape)
-    head_inputs = None
-    heads = []
-    for li, (spec, p) in enumerate(zip(model.layers, model.params)):
-        if not spec.standardized:
-            w = p["w"]
-        elif model.frozen:
-            w = model._folded_kernel(li)
-        else:
-            w = standardize(p["w"], spec.gain)
-        if spec.kind == "conv":
-            h = conv2d(h, w, stride=spec.stride, padding=spec.padding)
-            h = h + p["b"].reshape(1, -1, 1, 1)
-            h = h.leaky_relu(spec.slope)
-        else:
-            if head_inputs is None:
-                head_inputs = h.reshape(h.shape[0], -1)
-            heads.append(head_inputs @ w.T + p["b"])
-    if len(heads) != 2:
-        raise ConfigError("encoder needs exactly two linear heads (mu, logvar)")
+    for li, (spec, p) in enumerate(zip(model.layers[:-2], model.params)):
+        w = model._folded_kernel(li) if model.frozen else standardize(p["w"], spec.gain)
+        h = conv2d(h, w, stride=spec.stride, padding=spec.padding)
+        h = h + p["b"].reshape(1, -1, 1, 1)
+        h = h.leaky_relu(spec.slope)
+    flat = h.reshape(h.shape[0], -1)
+    mu, raw = [flat @ p["w"].T + p["b"] for p in model.params[-2:]]
     # smooth tanh bound: keeps gradient alive at the rails and stops the
     # variance head from inflating its way out of the pairwise constraints
-    mu = heads[0]
-    logvar = (heads[1] * (1.0 / LOGVAR_BOUND)).tanh() * LOGVAR_BOUND
+    logvar = (raw * (1.0 / LOGVAR_BOUND)).tanh() * LOGVAR_BOUND
     if not batched:
         mu, logvar = mu.reshape(-1), logvar.reshape(-1)
     return GaussianLatent(mu, logvar)
@@ -400,24 +426,21 @@ def save_weights(model: EncoderModel, path: str, meta: dict | None = None) -> No
 
 
 def load_weights(path: str) -> EncoderModel:
-    """Read a weight file written by save_weights; the model is frozen."""
+    """Read a weight file written by save_weights; the model is frozen.  A
+    header that does not describe a valid encoder is unreadable."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise CorruptWeightsError(f"{path}: bad magic")
+    bad_header = (struct.error, ValueError, KeyError, TypeError, AttributeError)
     try:
         (hlen,) = struct.unpack("<Q", blob[4:12])
         header = json.loads(blob[12:12 + hlen].decode("utf-8"))
         layers = [LayerSpec(**s) for s in header["layers"]]
-        model = EncoderModel.__new__(EncoderModel)
-        model.input_shape = tuple(header["input_shape"])
-        model.layers = layers
-        model.latent_dim = int(header["latent_dim"])
-        model.rep_dims = {f: [int(i) for i in ix] for f, ix in header["rep_dims"].items()}
-        model.init_norm_slack = float(header["init_norm_slack"])
-        model._validate_rep_dims()
+        fields = {k: header[k] for k in ("input_shape", "latent_dim", "rep_dims",
+                                         "init_norm_slack")}
         count = header["parameter_count"]
-    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as e:
+    except bad_header as e:
         # ValueError covers bad JSON, bad UTF-8 and an invalid layer spec
         raise CorruptWeightsError(f"{path}: unreadable header: {e!r}") from e
     # checked after the header parses, so that a damaged header is named as such
@@ -428,17 +451,24 @@ def load_weights(path: str) -> EncoderModel:
 
     def read(shape):
         nonlocal off
-        n = int(np.prod(shape)) * 8
+        n = math.prod(shape) * 8
         if off + n > len(payload):
             raise CorruptWeightsError(f"{path}: truncated payload")
         arr = np.frombuffer(payload[off:off + n], dtype="<f8").reshape(shape).copy()
         off += n
         return arr
 
-    model.params = [{"w": Tensor(read(spec.weight_shape), requires_grad=True),
-                     "b": Tensor(read((spec.out_width,)), requires_grad=True)}
-                    for spec in layers]
-    model.snapshot = [read(spec.weight_shape) for spec in layers]
+    params = [{"w": Tensor(read(spec.weight_shape), requires_grad=True),
+               "b": Tensor(read((spec.out_width,)), requires_grad=True)}
+              for spec in layers]
+    snapshot = [read(spec.weight_shape) for spec in layers]
+    if off != len(payload):
+        raise CorruptWeightsError(f"{path}: {len(payload) - off} bytes after the payload")
+    try:
+        model = EncoderModel(layers=layers, **fields, params=params, snapshot=snapshot)
+    except bad_header as e:
+        # ConfigError (a ValueError) names the geometry the header gets wrong
+        raise CorruptWeightsError(f"{path}: unreadable header: {e}") from e
     if model.parameter_count() != count:
         raise CorruptWeightsError(f"{path}: parameter count mismatch")
     model.freeze()

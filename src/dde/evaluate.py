@@ -90,6 +90,8 @@ def latency_benchmark(model: EncoderModel, images: np.ndarray,
 def evaluate_models(teacher: EncoderModel, student: EncoderModel,
                     dataset: FactorDataset, percentile: float = 5.0,
                     seed: int = 0, bench_runs: int = 1000) -> dict:
+    teacher.check_fit(dataset)
+    student.check_fit(dataset)
     bench_imgs = dataset.images[dataset.indices("test")[:32]]
     models = {"teacher": teacher, "student": student}
     fits = {who: fit_reasoners(m, dataset, percentile, seed)

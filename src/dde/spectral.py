@@ -135,16 +135,6 @@ def layer_norm(spec, kernel: np.ndarray, spatial) -> float:
     return float(np.linalg.svd(kernel, compute_uv=False)[0])
 
 
-def clip_layer(spec, kernel: np.ndarray, spatial, theta: float) -> np.ndarray:
-    """Layer `spec`'s kernel with its operator norm clipped to <= theta; a
-    linear kernel already within theta is returned as it is."""
-    if spec.kind == "conv":
-        return clip_singular_values(kernel, spatial, theta)
-    if layer_norm(spec, kernel, spatial) <= theta:
-        return kernel
-    return clip_singular_values(kernel[:, :, None, None], (1, 1), theta)[:, :, 0, 0]
-
-
 def operator_drift(model, snapshot=None, per_layer: bool = False):
     """Summed spectral-norm distance between each layer's current effective
     operator and its initialization snapshot."""
@@ -196,6 +186,7 @@ def certify(model, dataset, constants: dict | None = None, m_grid=None) -> dict:
     drift, kappa_theta per loss kind, and the three zeta bounds (with a
     zeta-vs-m table for plotting).  A per-kind table in `constants`
     overrides only the kinds it names."""
+    model.check_fit(dataset)
     given = constants or {}
     consts = {k: {**v, **given.get(k, {})} if isinstance(v, dict) else given.get(k, v)
               for k, v in DEFAULT_CERT_CONSTANTS.items()}

@@ -16,9 +16,8 @@ import numpy as np
 from .tensor import Tensor, Rng, AdamState, adam_step, grad, NumericError
 from .data import FactorDataset, ConfigError
 from .encoder import (EncoderModel, GaussianLatent, build_teacher, compress,
-                      encode, encode_batched, sample)
+                      encode, encode_batched, sample, clip_norms as _clip_model)
 from .losses import distill_loss, adapt_loss, isolation_loss, bounded, hinge
-from .spectral import clip_layer, layer_norm
 
 
 class TrainingError(RuntimeError):
@@ -121,19 +120,6 @@ def _pair_factors(dataset: FactorDataset) -> list:
     return factors
 
 
-def _check_fit(model: EncoderModel, dataset: FactorDataset) -> None:
-    """The dataset's images must have the model's input shape, and each of
-    its factors needs representative dims in the model."""
-    shape = tuple(dataset.images.shape[1:])
-    if shape != model.input_shape:
-        raise ConfigError(f"dataset images have shape {shape}, but the model "
-                          f"takes {model.input_shape}")
-    for s in dataset.specs:
-        if s.name not in model.rep_dims:
-            raise ConfigError(f"model has no representative dims for the "
-                              f"dataset's factor '{s.name}'")
-
-
 def _epoch_batches(rng: Rng, dataset: FactorDataset, train_idx, factors,
                    batch_size: int):
     """One epoch of (xs, {factor: (ia, ib)}) batches: xs are the batch's
@@ -165,7 +151,7 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
     """Primal-dual distillation of a student, compressed from the frozen
     teacher at config.ratio.  Returns (student, DualTrace)."""
     factors = _pair_factors(dataset)
-    _check_fit(teacher, dataset)
+    teacher.check_fit(dataset)
     teacher.freeze()
     student = compress(teacher, config.ratio, seed=config.seed + 1)
 
@@ -248,20 +234,6 @@ def _const_latent(mu: np.ndarray, lv: np.ndarray):
     return GaussianLatent(Tensor(mu), Tensor(lv))
 
 
-def _clip_model(model: EncoderModel, theta: float) -> None:
-    spatial = model.layer_spatial()
-    for li, spec in enumerate(model.layers):
-        eff = model.effective_kernel(li)
-        if spec.standardized:
-            # effective operator norm is linear in the gain (standardization
-            # is scale-invariant in W), so clip through the gain
-            sn = layer_norm(spec, eff, spatial[li])
-            if sn > theta:
-                spec.gain *= theta / sn
-        else:
-            model.params[li]["w"].data = clip_layer(spec, eff, spatial[li], theta)
-
-
 # ---------------------------------------------------------------------------
 # Teacher pre-training: VAE objective plus weak pair alignment so that each
 # factor's representative dims react to that factor and other dims do not.
@@ -298,7 +270,7 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
     arch = dict(config.arch)
     arch.setdefault("seed", config.seed)
     model = build_teacher(arch)
-    _check_fit(model, dataset)
+    model.check_fit(dataset)
     rng = Rng(config.seed + 7919)
     c, h, w = model.input_shape
     pix = c * h * w

@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from dde import cli
 from dde.cli import main, load_config, config_hash
 from dde.data import ConfigError
-from dde.encoder import DEFAULT_ARCH
+from dde.encoder import DEFAULT_ARCH, MAGIC, LayerSpec
 from dde.spectral import DEFAULT_CERT_CONSTANTS
 from dde.train import TeacherConfig, TrainConfig
 from dde import data
@@ -209,6 +210,58 @@ def test_edited_weight_header_exits_3(workdir, tmp_path, capsys):
     assert "checksum mismatch" in capsys.readouterr().err
 
 
+def _resealed(blob, edit, tail=b"", resize=False):
+    """`blob` with `edit(header)` applied, `tail` appended to the payload and
+    a valid checksum; with `resize`, the payload is zeros sized to the
+    edited layers."""
+    (hlen,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    payload = blob[12 + hlen:-4] + tail
+    if resize:
+        specs = [LayerSpec(**s) for s in header["layers"]]
+        payload = bytes(8 * sum(2 * math.prod(s.weight_shape) + s.out_width
+                                for s in specs))
+    hjson = json.dumps(header, sort_keys=True).encode("utf-8")
+    head = MAGIC + struct.pack("<Q", len(hjson)) + hjson
+    return head + payload + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
+
+
+def _set_layer(li, **fields):
+    return lambda header: header["layers"][li].update(fields)
+
+
+def _set_input_shape(shape):
+    return lambda header: header.update(input_shape=shape)
+
+
+@pytest.mark.parametrize("edit, kwargs, message", [
+    (_set_layer(0, k=-1), {}, "layer k must be an integer >= 1"),
+    (_set_layer(0, stride=0), {}, "layer stride must be an integer >= 1"),
+    (_set_layer(0, padding=-1), {}, "layer padding must be an integer >= 0"),
+    (_set_input_shape([3, 32]), {}, "input_shape must be 3 integers >= 1"),
+    (_set_input_shape([3, 2, 2]), {}, "but a head maps the trunk's 4 to 10"),
+    (_set_layer(0, standardized=False), {}, "unexpected keyword argument 'standardized'"),
+    (_set_layer(-1, standardized=True), {}, "unexpected keyword argument 'standardized'"),
+    (_set_layer(-1, kind="dense"), {}, "layer kind must be 'conv' or 'linear'"),
+    (_set_layer(0, slope="x"), {}, "unreadable header"),
+    (_set_layer(1, in_width=3), {"resize": True},
+     "layer 1 takes 3 channels, but its input has 2"),
+    (lambda header: None, {"tail": bytes(8)}, "8 bytes after the payload"),
+])
+def test_edited_header_with_valid_checksum_exits_3(workdir, tmp_path, capsys, edit,
+                                                   kwargs, message):
+    # each header passes the checksum but describes no valid encoder
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_resealed((workdir / "student.bin").read_bytes(), edit, **kwargs))
+    rc = main(["certify", "--config", str(workdir / "cfg.json"),
+               "--data", str(workdir / "ds"), "--model", str(bad),
+               "--out-json", str(tmp_path / "c.json"),
+               "--out-csv", str(tmp_path / "z.csv")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", [_cut_in_header, _cut_before_header_length,
                                     _bad_utf8_header_byte, _missing_header_key])
 def test_unreadable_weight_header_exits_3(workdir, tmp_path, capsys, damage):
@@ -377,6 +430,9 @@ def _stage_args(stage, workdir, tmp_path):
     ("distill", {"distill": {"lr": 0}}, "config key 'distill.lr' must be > 0"),
     ("gen-data", {"data": {"noise": math.inf}}, "config key 'data.noise' must be float"),
     ("certify", {"cert": {"omega": 10**400}}, "config key 'cert.omega' must be float"),
+    ("train-teacher",
+     {"teacher": {"arch": {**SMALL_CFG["teacher"]["arch"], "kernel": 40}}},
+     "layer 0: kernel 40 is larger than its padded input (32, 32)"),
 ])
 def test_bad_setting_exits_2_naming_its_key(workdir, tmp_path, capsys, stage,
                                             section, message):
@@ -397,6 +453,34 @@ def test_image_size_must_fit_the_teacher_in_distill(workdir, tmp_path, capsys):
                  "--out", str(tmp_path / "s.bin")]) == 2
     assert ("dataset images have shape (3, 16, 16), but the model takes (3, 32, 32)"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("stage", ["certify", "evaluate"])
+def test_models_must_fit_the_dataset(workdir, tmp_path, capsys, stage):
+    # models trained on 32x32 images, run against a 16x16 dataset
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**SMALL_CFG, "data": {**SMALL_CFG["data"],
+                                                   "image_size": [16, 16]}}))
+    assert main(["gen-data", "--config", str(p), "--out", str(tmp_path / "ds16")]) == 0
+    capsys.readouterr()
+    args = _stage_args(stage, workdir, tmp_path)
+    args[args.index("--data") + 1] = str(tmp_path / "ds16")
+    assert main([stage, "--config", str(p), *args]) == 2
+    assert ("dataset images have shape (3, 16, 16), but the model takes (3, 32, 32)"
+            in capsys.readouterr().err)
+
+
+def test_counts_keep_the_default_of_each_split_left_out(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"data": {"counts": {"train": 4}, "image_size": [16, 16],
+                                      "pairs_per_factor": 5}}))
+    assert main(["gen-data", "--config", str(p), "--out", str(tmp_path / "d")]) == 0
+    ds = data.load(str(tmp_path / "d"))
+    train_combos = len(data.partition(ds))
+    combos = math.prod(len(s.observed_values) for s in ds.specs)
+    assert len(ds.indices("train")) == 4 * train_combos
+    assert len(ds.indices("calibration")) == 25 * train_combos
+    assert len(ds.indices("test")) == 25 * combos
 
 
 @pytest.mark.parametrize("stage", ["train-teacher", "distill"])

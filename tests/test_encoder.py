@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -78,7 +81,7 @@ class TestStandardize:
     def test_effective_kernel_is_the_encoded_kernel(self):
         m = build_teacher({"widths": (4, 8), "latent_dim": 6, "rep_dims": {"a": [0]}})
         for li, (spec, p) in enumerate(zip(m.layers, m.params)):
-            want = standardize(p["w"], spec.gain).data if spec.standardized else p["w"].data
+            want = standardize(p["w"], spec.gain).data if spec.kind == "conv" else p["w"].data
             assert np.array_equal(m.effective_kernel(li), want)
             assert np.array_equal(m.snapshot[li], want)
 
@@ -88,8 +91,8 @@ class TestModel:
         m = build_teacher()
         assert m.latent_dim == 30
         assert [s.out_width for s in m.layers[:5]] == [32, 64, 128, 256, 512]
-        assert all(s.standardized for s in m.layers[:5])
-        assert not any(s.standardized for s in m.layers[5:])
+        assert all(s.kind == "conv" for s in m.layers[:5])
+        assert not any(s.kind == "conv" for s in m.layers[5:])
         assert len(m.layers) == 7
         assert m.rep_dims == {"haze": [3], "backdrop": [6]}
 
@@ -127,6 +130,65 @@ class TestModel:
         heads = 2 * (6 * feat + 6)
         assert m.parameter_count() == conv + heads
         assert m.parameter_bytes() == m.parameter_count() * 8
+
+
+CONV = LayerSpec("conv", 3, 4, k=3, stride=2, padding=1)     # (3, 16, 16) -> (4, 8, 8)
+HEAD = LayerSpec("linear", 4 * 8 * 8, 6)
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("arch, message", [
+        ({"kernel": 40}, "layer 0: kernel 40 is larger than its padded input (32, 32)"),
+        ({"kernel": 5, "widths": (2, 2, 2, 2, 2)},
+         "layer 4: kernel 5 is larger than its padded input (1, 1)"),
+        ({"widths": (4, 0)}, "layer out_width must be an integer >= 1"),
+        ({"stride": 0}, "layer stride must be an integer >= 1"),
+        ({"padding": -1}, "layer padding must be an integer >= 0"),
+        ({"input_shape": (3, 32)}, "input_shape must be 3 integers >= 1"),
+        ({"input_shape": (3, 0, 32)}, "input_shape must be 3 integers >= 1"),
+    ])
+    def test_build_teacher_refuses_bad_geometry(self, arch, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_teacher({"widths": (4, 8), "latent_dim": 6, "rep_dims": {"a": [0]},
+                           **arch})
+
+    @pytest.mark.parametrize("layers, message", [
+        ([CONV, HEAD], "exactly two linear heads"),
+        ([CONV, HEAD, HEAD, HEAD], "exactly two linear heads"),
+        ([HEAD, CONV, HEAD], "exactly two linear heads"),
+        ([LayerSpec("conv", 2, 4, k=3, stride=2, padding=1), HEAD, HEAD],
+         "layer 0 takes 2 channels, but its input has 3"),
+        ([CONV, LayerSpec("conv", 3, 4, k=3), HEAD, HEAD],
+         "layer 1 takes 3 channels, but its input has 4"),
+        ([CONV, LayerSpec("linear", 100, 6), HEAD], "layer 1 maps 100 to 6"),
+        ([CONV, HEAD, LayerSpec("linear", 256, 5)], "layer 2 maps 256 to 5"),
+    ])
+    def test_constructor_refuses_bad_layers(self, layers, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            EncoderModel((3, 16, 16), layers, 6, {"a": [0]}, init_norm_slack=1.0)
+
+    def test_layer_spec_refuses_bad_fields(self):
+        for kwargs in ({"kind": "dense"}, {"k": 0}, {"stride": 1.5}, {"in_width": "3"},
+                       {"gain": math.nan}, {"slope": math.inf}):
+            with pytest.raises(ConfigError):
+                LayerSpec(**{"kind": "conv", "in_width": 3, "out_width": 4, "k": 3,
+                             **kwargs})
+
+    def test_heads_only(self):
+        m = EncoderModel((3, 4, 4), [LayerSpec("linear", 48, 6)] * 2, 6, {"a": [0]},
+                         init_norm_slack=1.0)
+        assert encode(m, Rng(0).normal((2, 3, 4, 4))).mu.shape == (2, 6)
+
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    def test_compress_keeps_geometry(self, r):
+        t = build_teacher({"widths": (5, 7), "kernel": 4, "stride": 3, "padding": 2,
+                           "input_shape": (2, 17, 15), "latent_dim": 6,
+                           "rep_dims": {"a": [0]}})
+        s = compress(t, r)
+        assert s.layer_spatial() == t.layer_spatial()
+        assert [(l.k, l.stride, l.padding) for l in s.layers[:2]] == [(4, 3, 2)] * 2
+        feat = s.layers[1].out_width * math.prod(s.layer_spatial()[2])
+        assert [(l.in_width, l.out_width) for l in s.layers[2:]] == [(feat, 6)] * 2
 
 
 class TestCompress:
@@ -317,9 +379,9 @@ class TestFreeze:
             for li, k in enumerate(want):
                 got = m.effective_kernel(li)
                 assert np.array_equal(got, k)
-                assert m.layers[li].standardized == (not got.flags.writeable)
+                assert (m.layers[li].kind == "conv") == (not got.flags.writeable)
             m.freeze()                        # idempotent: keeps the folds
-        n_std = sum(s.standardized for s in m.layers)
+        n_std = sum(s.kind == "conv" for s in m.layers)
         assert len(calls) == n_std == 3
 
         # a reassigned weight array or a changed gain is folded again

@@ -8,9 +8,10 @@ from dde.tensor import Rng, ContractError
 from dde import spectral
 from dde.encoder import LayerSpec, build_teacher
 from dde.spectral import (conv_singular_values, clip_singular_values,
-                          layer_spectrum, layer_norm, clip_layer,
+                          layer_spectrum, layer_norm,
                           operator_drift, network_lipschitz, zeta_bound,
                           certify, DEFAULT_CERT_CONSTANTS)
+from dde.encoder import clip_norms
 from dde.train import _clip_model
 
 from oracles import (circulant_conv_matrix, conv_singular_values_fft,
@@ -154,22 +155,26 @@ class TestLayerOperator:
         layer_spectrum(self.conv, Rng(0).normal((5, 3, 3, 3)), (4, 4))
         assert len(calls) == 1
 
-    def test_conv_clip_is_clip_singular_values(self):
-        w = Rng(3).normal((5, 3, 3, 3))
-        theta = 0.5 * conv_singular_values(w, (8, 8)).max
-        assert np.array_equal(clip_layer(self.conv, w, (8, 8), theta),
-                              clip_singular_values(w, (8, 8), theta))
+    @staticmethod
+    def _clipped_head(w, theta):
+        """The mu head kernel, first set to w, of an encoder without conv
+        layers after clip_norms(theta)."""
+        m = build_teacher({"widths": (), "input_shape": (w.shape[1], 1, 1),
+                           "latent_dim": w.shape[0], "rep_dims": {"a": [0]}})
+        m.params[0]["w"].data = w.copy()
+        clip_norms(m, theta)
+        return m.params[0]["w"].data
 
     def test_linear_clip_unchanged_under_theta(self):
         w = Rng(4).normal((4, 7))
         theta = np.linalg.svd(w, compute_uv=False)[0] * 1.5
-        assert np.array_equal(clip_layer(self.linear, w, (1, 1), theta), w)
+        assert np.array_equal(self._clipped_head(w, theta), w)
 
     @pytest.mark.parametrize("frac", [0.9, 0.5, 0.1])
     def test_linear_clip_over_theta(self, frac):
         w = Rng(5).normal((4, 7))
         theta = frac * np.linalg.svd(w, compute_uv=False)[0]
-        clipped = clip_layer(self.linear, w, (1, 1), theta)
+        clipped = self._clipped_head(w, theta)
         assert clipped.shape == w.shape
         assert np.linalg.svd(clipped, compute_uv=False)[0] <= theta + 1e-9
 
