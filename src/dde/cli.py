@@ -18,41 +18,28 @@ import sys
 from . import __version__
 from .tensor import NumericError, ContractError
 from . import data as data_mod
-from .data import (ConfigError, FactorError, ParseError, FactorSpec, RENDER_ROLES,
-                   default_factor_specs)
+from .data import ConfigError, FactorError, ParseError, FACTOR_SPEC
 from .encoder import CorruptWeightsError, save_weights, load_weights
+from .rules import ANY, AT_LEAST_0, AT_LEAST_1, ABOVE_0, checked, read_json
 from .train import TrainConfig, TeacherConfig, TrainingError, distill, train_teacher
 from .spectral import certify
 from .evaluate import evaluate_models
 
-# (test, what it must satisfy) of a typed config value
-ANY = (lambda v: True, "")
-AT_LEAST_0 = (lambda v: v >= 0, "be >= 0")
-AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
-ABOVE_0 = (lambda v: v > 0, "be > 0")
-FACTOR_VALUE = ((str, int, float), *ANY)
 PER_LOSS_KIND = {kind: (float, *AT_LEAST_0) for kind in "DAI"}
 PER_FACTOR = {str: (float, *AT_LEAST_0)}
 
-# The type and range of every config key; `_checked` reads it.  A dict is a
-# section that takes only its own keys, where a `str` key stands for any key
-# (a factor name).  A list is a list: with one rule, of any length, each item
-# following it; with n > 1 rules, exactly n items, item i following rule i.
-# A tuple is (type, test, what the value must satisfy).  No default lives
-# here: a key the config leaves out keeps the default of the parameter it
-# feeds (TeacherConfig, TrainConfig, build_teacher's DEFAULT_ARCH,
-# DEFAULT_CERT_CONSTANTS, ...).
+# The type and range of every config key, in the rules of `rules.checked`.
+# No default lives here: a key the config leaves out keeps the default of the
+# parameter it feeds (TeacherConfig, TrainConfig, build_teacher's
+# DEFAULT_ARCH, DEFAULT_CERT_CONSTANTS, ...).
 SCHEMA = {
     "seed": (int, *AT_LEAST_0),
     "data": {
-        "counts": {split: (int, *AT_LEAST_1) for split in ("train", "calibration", "test")},
+        "counts": {split: (int, *AT_LEAST_1) for split in data_mod.SPLITS},
         "image_size": [(int, lambda v: v >= 16, "be >= 16")] * 2,
         "pairs_per_factor": (int, *AT_LEAST_1),
         "noise": (float, *AT_LEAST_0),
-        "factors": [{"name": (str, *ANY), "observed_values": [FACTOR_VALUE],
-                     "train_values": [FACTOR_VALUE],
-                     "render": (str, lambda v: v in RENDER_ROLES,
-                                f"be one of {', '.join(RENDER_ROLES)}")}],
+        "factors": [FACTOR_SPEC],
     },
     "teacher": {
         "arch": {"input_shape": [(int, *AT_LEAST_1)] * 3,
@@ -90,49 +77,11 @@ SCHEMA = {
 }
 
 
-def _checked(value, rule, key: str):
-    """A typed copy of `value` that follows `rule` (see SCHEMA), or a
-    ConfigError naming the dotted config `key`.  A float key takes a finite
-    int or float and gives a float; a bool is not a number."""
-    if isinstance(rule, dict):
-        out = {}
-        for k, v in _checked(value, (dict, *ANY), key).items():
-            sub = rule.get(k, rule.get(str))
-            if sub is None:
-                raise ConfigError(f"unknown config key '{k}' in {key or 'config'}")
-            out[k] = _checked(v, sub, f"{key}.{k}" if key else k)
-        return out
-    if isinstance(rule, list):
-        items = _checked(value, (list, *ANY), key)
-        if len(rule) > 1 and len(items) != len(rule):
-            raise ConfigError(f"config key '{key}' must have {len(rule)} items, "
-                              f"got {value!r}")
-        rules = rule if len(rule) > 1 else rule * len(items)
-        return [_checked(v, r, f"{key}[{i}]")
-                for i, (v, r) in enumerate(zip(items, rules))]
-    kind, test, what = rule
-    if (not isinstance(value, (int, float) if kind is float else kind)
-            or (isinstance(value, bool) and kind is not bool)
-            or (kind is float and not abs(value) <= sys.float_info.max)):
-        name = (" or ".join(t.__name__ for t in kind) if isinstance(kind, tuple)
-                else kind.__name__)
-        raise ConfigError(f"config key '{key}' must be {name}, got {value!r}")
-    if not test(value):
-        raise ConfigError(f"config key '{key}' must {what}, got {value!r}")
-    return float(value) if kind is float else value
-
-
 def load_config(path: str) -> tuple:
     """(raw, checked): the JSON config at `path`, and its typed copy once
     every key has passed SCHEMA."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return cfg, _checked(cfg, SCHEMA, "")
+    cfg = read_json(path, ConfigError)
+    return cfg, checked(cfg, SCHEMA)
 
 
 def config_hash(cfg: dict) -> str:
@@ -145,23 +94,9 @@ def _setup(args) -> tuple:
     the raw config, so that typing a value does not change the hash."""
     raw, cfg = load_config(args.config)
     seed = (cfg.get("seed", 0) if args.seed is None
-            else _checked(args.seed, SCHEMA["seed"], "seed"))
+            else checked(args.seed, SCHEMA["seed"], "seed"))
     return cfg, seed, {"config_sha256": config_hash(raw), "seed": seed,
                        "version": __version__}
-
-
-def _factor_specs(cfg: dict):
-    raw = cfg.get("data", {}).get("factors")
-    if raw is None:
-        return default_factor_specs()
-    specs = []
-    for s in raw:
-        for key in SCHEMA["data"]["factors"][0]:
-            if key not in s:
-                raise ConfigError(f"factor spec missing field '{key}'")
-        specs.append(FactorSpec(s["name"], tuple(s["observed_values"]),
-                                tuple(s["train_values"]), s["render"]))
-    return specs
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
@@ -194,7 +129,7 @@ def _write_json(path: str, obj: dict) -> None:
 def cmd_gen_data(args) -> int:
     cfg, seed, prov = _setup(args)
     d = cfg.get("data", {})
-    ds = data_mod.generate(_factor_specs(cfg), d.get("counts"),
+    ds = data_mod.generate(data_mod.factor_specs(d.get("factors")), d.get("counts"),
                            image_size=tuple(d.get("image_size", (32, 32))), seed=seed,
                            **({"noise": d["noise"]} if "noise" in d else {}))
     data_mod.build_all_pairs(ds, d.get("pairs_per_factor", 300), seed=seed)
@@ -324,7 +259,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FactorError, ParseError, FileNotFoundError,
-            NotADirectoryError) as e:
+            NotADirectoryError, IsADirectoryError, FileExistsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, NumericError, ContractError,

@@ -12,15 +12,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .rules import ANY, AT_LEAST_0, AT_LEAST_1, REQUIRED, ConfigError, checked, read_json
 from .tensor import Rng
-
-
-class ConfigError(ValueError):
-    """Invalid generation or factor configuration."""
 
 
 class FactorError(ValueError):
@@ -29,9 +26,18 @@ class FactorError(ValueError):
 
 class ParseError(ValueError):
     """Malformed dataset manifest or image file."""
+    source = "manifest"
 
 
 RENDER_ROLES = ("overlay-intensity", "background-pattern")
+SPLITS = ("train", "calibration", "test")
+FACTOR_VALUE = ((str, int, float), *ANY)
+# a factor spec, as the config's `data.factors` and the manifest hold it
+FACTOR_SPEC = {"name": (str, *ANY), "observed_values": [FACTOR_VALUE],
+               "train_values": [FACTOR_VALUE],
+               "render": (str, lambda v: v in RENDER_ROLES,
+                          f"be one of {', '.join(RENDER_ROLES)}"),
+               REQUIRED: ("name", "observed_values", "train_values", "render")}
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,6 @@ class FactorDataset:
     images: np.ndarray              # (M, 3, H, W) float64, values k/255
     factors: list                   # per-sample dict factor -> value
     splits: list                    # per-sample "train" | "calibration" | "test"
-    partition_ids: list             # per-sample partition id
     pair_sets: dict = field(default_factory=dict)   # factor -> PairSet
     seed: int = 0
 
@@ -90,14 +95,9 @@ class FactorDataset:
     def __eq__(self, other):
         if not isinstance(other, FactorDataset):
             return NotImplemented
-        return (self.specs == other.specs
-                and np.array_equal(self.images, other.images)
-                and self.factors == other.factors
-                and self.splits == other.splits
-                and self.partition_ids == other.partition_ids
-                and {f: ps.pairs for f, ps in self.pair_sets.items()}
-                == {f: ps.pairs for f, ps in other.pair_sets.items()}
-                and self.seed == other.seed)
+        return (np.array_equal(self.images, other.images)
+                and (self.specs, self.factors, self.splits, self.pair_sets, self.seed)
+                == (other.specs, other.factors, other.splits, other.pair_sets, other.seed))
 
 
 def default_factor_specs() -> list:
@@ -108,6 +108,18 @@ def default_factor_specs() -> list:
         FactorSpec("backdrop", ("stripes", "checker", "gradient"),
                    ("stripes", "checker"), "background-pattern"),
     ]
+
+
+def factor_specs(items=None) -> list:
+    """The FactorSpec of each item that follows FACTOR_SPEC; the default
+    factors when there are no items."""
+    if items is None:
+        return default_factor_specs()
+    specs = [FactorSpec(s["name"], tuple(s["observed_values"]), tuple(s["train_values"]),
+                        s["render"]) for s in items]
+    if len({s.name for s in specs}) != len(specs):
+        raise ConfigError("factor names must be unique")
+    return specs
 
 
 def _backdrop(pattern, h: int, w: int) -> np.ndarray:
@@ -176,12 +188,9 @@ def generate(specs, counts: dict | None = None, image_size=(32, 32), seed: int =
     for key, n in counts.items():
         if n < 1:
             raise ConfigError(f"counts['{key}'] must be >= 1")
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError("factor names must be unique")
 
     rng = Rng(seed)
-    images, factors, splits, pids = [], [], [], []
+    images, factors, splits = [], [], []
     idx = 0
     for combo in _combos(specs):
         blocks = [("test", counts["test"])]
@@ -194,10 +203,9 @@ def generate(specs, counts: dict | None = None, image_size=(32, 32), seed: int =
                 images.append(_render(combo, specs, h, w, perturb))
                 factors.append(dict(combo))
                 splits.append(split)
-                pids.append(_partition_id(combo, specs))
                 idx += 1
 
-    return FactorDataset(list(specs), np.stack(images), factors, splits, pids, seed=seed)
+    return FactorDataset(list(specs), np.stack(images), factors, splits, seed=seed)
 
 
 def partition(dataset: FactorDataset) -> list:
@@ -253,10 +261,11 @@ def _write_ppm(path: str, img: np.ndarray) -> None:
         f.write(pix.tobytes())
 
 
-def _read_ppm(path: str) -> np.ndarray:
+def _read_ppm(path: str, size: tuple) -> np.ndarray:
+    """The image in a P6 PPM file; one whose dims are not `size` (h, w) is
+    refused before its pixels are read."""
     with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P6":
+        if f.readline().strip() != b"P6":
             raise ParseError(f"{path}: not a P6 PPM")
         dims = f.readline().split()
         maxval = f.readline().strip()
@@ -266,10 +275,12 @@ def _read_ppm(path: str) -> np.ndarray:
             w, h = int(dims[0]), int(dims[1])
         except ValueError:
             raise ParseError(f"{path}: bad PPM dims {dims!r}") from None
-        raw = f.read(h * w * 3)
-        if len(raw) != h * w * 3:
+        if (h, w) != size:
+            raise ParseError(f"{path}: PPM dims {w}x{h} differ from image_size {list(size)}")
+        raw = f.read()              # no larger than the file, whatever the dims say
+        if len(raw) < h * w * 3:
             raise ParseError(f"{path}: truncated pixel data")
-    pix = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+    pix = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3).reshape(h, w, 3)
     return pix.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
@@ -279,70 +290,47 @@ def save(dataset: FactorDataset, out_dir: str, meta: dict | None = None) -> None
     for i in range(len(dataset.images)):
         fname = f"sample_{i:06d}.ppm"
         _write_ppm(os.path.join(out_dir, fname), dataset.images[i])
-        samples.append({
-            "file": fname,
-            "factors": dataset.factors[i],
-            "split": dataset.splits[i],
-            "partition": dataset.partition_ids[i],
-        })
-    manifest = {
-        "seed": dataset.seed,
-        "image_size": list(dataset.images.shape[2:]),
-        "factor_specs": [{
-            "name": s.name,
-            "observed_values": list(s.observed_values),
-            "train_values": list(s.train_values),
-            "render": s.render,
-        } for s in dataset.specs],
-        "samples": samples,
-        "pairs": {f: ps.pairs for f, ps in dataset.pair_sets.items()},
-    }
+        samples.append({"file": fname, "factors": dataset.factors[i],
+                        "split": dataset.splits[i],
+                        "partition": _partition_id(dataset.factors[i], dataset.specs)})
+    manifest = {"seed": dataset.seed, "image_size": list(dataset.images.shape[2:]),
+                "factor_specs": [asdict(s) for s in dataset.specs], "samples": samples,
+                "pairs": {f: ps.pairs for f, ps in dataset.pair_sets.items()}}
     if meta:
         manifest["provenance"] = meta
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
-def _require(obj: dict, key: str, ctx: str):
-    if key not in obj:
-        raise ParseError(f"manifest: missing field '{key}' in {ctx}")
-    return obj[key]
+# the manifest as `save` writes it; `load` checks its samples and pairs against
+# rules built from its factor specs and its sample count
+MANIFEST = {"seed": (int, *AT_LEAST_0), "image_size": [(int, *AT_LEAST_1)] * 2,
+            "factor_specs": [FACTOR_SPEC], "samples": (list, bool, "not be empty"),
+            "pairs": (dict, *ANY), "provenance": (dict, *ANY),
+            REQUIRED: ("seed", "image_size", "factor_specs", "samples", "pairs")}
 
 
 def load(in_dir: str) -> FactorDataset:
-    path = os.path.join(in_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"manifest: invalid JSON at line {e.lineno}: {e.msg}") from e
-
-    specs = []
-    for s in _require(manifest, "factor_specs", "manifest"):
-        specs.append(FactorSpec(
-            _require(s, "name", "factor spec"),
-            tuple(_require(s, "observed_values", "factor spec")),
-            tuple(_require(s, "train_values", "factor spec")),
-            _require(s, "render", "factor spec"),
-        ))
-
-    images, factors, splits, pids = [], [], [], []
-    for rec in _require(manifest, "samples", "manifest"):
-        images.append(_read_ppm(os.path.join(in_dir, _require(rec, "file", "sample"))))
-        factors.append(_require(rec, "factors", "sample"))
-        splits.append(_require(rec, "split", "sample"))
-        pids.append(_require(rec, "partition", "sample"))
-
-    ds = FactorDataset(specs, np.stack(images), factors, splits, pids,
-                       seed=int(manifest.get("seed", 0)))
-    for f, pairs in _require(manifest, "pairs", "manifest").items():
-        pairs = [(int(a), int(b)) for a, b in pairs]
-        bad = [i for pair in pairs for i in pair if not 0 <= i < len(images)]
-        if bad:
-            raise ParseError(f"manifest: pair index {bad[0]} of factor '{f}' "
-                             f"is outside [0, {len(images)})")
-        ds.pair_sets[f] = PairSet(f, pairs)
-    return ds
+    """The dataset in `in_dir`; a manifest or PPM that breaks a rule raises a
+    ParseError (or a ConfigError from FactorSpec) naming the key or file."""
+    manifest = checked(read_json(os.path.join(in_dir, "manifest.json"), ParseError),
+                       MANIFEST, "", ParseError)
+    specs = factor_specs(manifest["factor_specs"])
+    values = {s.name: ((str, int, float), lambda v, s=s: v in s.observed_values,
+                       f"be one of {list(s.observed_values)}") for s in specs}
+    sample = {"file": (str, *ANY), "factors": {**values, REQUIRED: tuple(values)},
+              "split": (str, lambda v: v in SPLITS, f"be one of {', '.join(SPLITS)}"),
+              "partition": (str, *ANY), REQUIRED: ("file", "factors", "split", "partition")}
+    n = len(manifest["samples"])
+    index = (int, lambda i: 0 <= i < n, f"lie in [0, {n})")
+    samples = checked(manifest["samples"], [sample], "samples", ParseError)
+    pairs = checked(manifest["pairs"], {f: [[index] * 2] for f in values}, "pairs", ParseError)
+    size = tuple(manifest["image_size"])
+    images = np.stack([_read_ppm(os.path.join(in_dir, r["file"]), size) for r in samples])
+    return FactorDataset(specs, images, [r["factors"] for r in samples],
+                         [r["split"] for r in samples],
+                         {f: PairSet(f, [tuple(p) for p in ps]) for f, ps in pairs.items()},
+                         seed=manifest["seed"])
 
 
 def chi_of_dataset(dataset: FactorDataset) -> float:

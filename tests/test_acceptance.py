@@ -338,6 +338,8 @@ def test_6_compression_monotonicity():
     ratios = [0.1, 0.3, 0.5, 0.7, 0.9]   # increasing compression
     students = [compress(teacher, r, seed=5) for r in ratios]
     sizes = [st.parameter_count() * 8 for st in students]
+    for st in students:
+        st.freeze()     # time the deployed path: a loaded model is frozen
     # 1000 encodes per ratio in 50 rounds of 20, the ratio order reversed
     # every round: on a shared machine the CPU speed can swing by tens of
     # percent within a second, so each ratio is timed all through the test

@@ -12,6 +12,7 @@ import pytest
 from dde import cli
 from dde.cli import main, load_config, config_hash
 from dde.data import ConfigError
+from dde.rules import checked
 from dde.encoder import DEFAULT_ARCH, MAGIC, LayerSpec
 from dde.spectral import DEFAULT_CERT_CONSTANTS
 from dde.train import TeacherConfig, TrainConfig
@@ -306,8 +307,8 @@ class TestSettings:
             for key, rule in rules.items():
                 default = defaults[prefix + key]
                 if isinstance(rule, tuple):
-                    checked = cli._checked(default, rule, key)
-                    assert json.dumps(checked) == json.dumps(default), key
+                    typed = checked(default, rule, key)
+                    assert json.dumps(typed) == json.dumps(default), key
 
     def test_schema_matches_the_library_defaults(self):
         # build_teacher's arch and the cert constants, written as a config,
@@ -318,8 +319,8 @@ class TestSettings:
                                 (cert, DEFAULT_CERT_CONSTANTS)):
             as_config = json.loads(json.dumps(defaults))
             assert set(rules) == set(as_config)
-            checked = cli._checked(as_config, rules, "section")
-            assert json.dumps(checked) == json.dumps(as_config)
+            typed = checked(as_config, rules, "section")
+            assert json.dumps(typed) == json.dumps(as_config)
 
     def test_partial_cert_kappa_keeps_other_kinds(self, workdir, tmp_path):
         p = tmp_path / "c.json"
@@ -433,6 +434,11 @@ def _stage_args(stage, workdir, tmp_path):
     ("train-teacher",
      {"teacher": {"arch": {**SMALL_CFG["teacher"]["arch"], "kernel": 40}}},
      "layer 0: kernel 40 is larger than its padded input (32, 32)"),
+    ("gen-data", {"data": {"factors": [{k: v for k, v in HAZE.items() if k != "render"}]}},
+     "config key 'data.factors[0]' must have the key 'render'"),
+    ("gen-data", {"data": {"factors": [{**HAZE, "observed_values": [math.nan, 0.25, 0.5]}]}},
+     "config key 'data.factors[0].observed_values[0]' must be str or int or float"),
+    ("gen-data", {"data": {"factors": [HAZE, HAZE]}}, "factor names must be unique"),
 ])
 def test_bad_setting_exits_2_naming_its_key(workdir, tmp_path, capsys, stage,
                                             section, message):
@@ -483,19 +489,117 @@ def test_counts_keep_the_default_of_each_split_left_out(tmp_path):
     assert len(ds.indices("test")) == 25 * combos
 
 
+def _set(*path, value):
+    """An edit of the manifest that sets the value at `path`."""
+    def edit(manifest):
+        for k in path[:-1]:
+            manifest = manifest[k]
+        manifest[path[-1]] = value
+    return edit
+
+
+# id: (edit of the manifest, new bytes of the first PPM, what stderr must name,
+# with {ds} for the dataset directory)
+BAD_DATASETS = {
+    "samples-not-a-list": (_set("samples", value=3), None,
+                           "manifest key 'samples' must be list"),
+    "factor-spec-not-an-object": (_set("factor_specs", 0, value=3), None,
+                                  "manifest key 'factor_specs[0]' must be dict"),
+    "observed-values-not-a-list": (
+        _set("factor_specs", 0, "observed_values", value=3), None,
+        "manifest key 'factor_specs[0].observed_values' must be list"),
+    "pair-list-not-a-list": (_set("pairs", "haze", value=3), None,
+                             "manifest key 'pairs.haze' must be list"),
+    "pair-of-one-index": (_set("pairs", "haze", 0, value=[1]), None,
+                          "manifest key 'pairs.haze[0]' must have 2 items"),
+    "seed-not-an-int": (_set("seed", value="x"), None, "manifest key 'seed' must be int"),
+    "file-is-a-directory": (_set("samples", 0, "file", value="."), None,
+                            "Is a directory: '{ds}/.'"),
+    "ppm-of-another-size": (None, b"P6\n16 16\n255\n" + bytes(16 * 16 * 3),
+                            "{ds}/sample_000000.ppm: PPM dims 16x16 differ"),
+    "ppm-negative-dims": (None, b"P6\n-4 -4\n255\n" + bytes(48),
+                          "{ds}/sample_000000.ppm: PPM dims -4x-4 differ"),
+    "samples-empty": (_set("samples", value=[]), None,
+                      "manifest key 'samples' must not be empty"),
+    "ppm-huge-dims": (None, b"P6\n100000000 100000000\n255\n",
+                      "{ds}/sample_000000.ppm: PPM dims 100000000x100000000 differ"),
+    "pair-index-not-an-int": (_set("pairs", "haze", 0, 0, value=0.5), None,
+                              "manifest key 'pairs.haze[0][0]' must be int"),
+    "pair-index-99999": (_set("pairs", "backdrop", 2, 1, value=99999), None,
+                         "manifest key 'pairs.backdrop[2][1]' must lie in [0, "),
+    "pair-index--1": (_set("pairs", "backdrop", 2, 1, value=-1), None,
+                      "manifest key 'pairs.backdrop[2][1]' must lie in [0, "),
+    "factors-not-an-object": (_set("samples", 0, "factors", value="abc"), None,
+                              "manifest key 'samples[0].factors' must be dict"),
+    "unknown-split": (_set("samples", 0, "split", value="validation"), None,
+                      "manifest key 'samples[0].split' must be one of train, "
+                      "calibration, test"),
+    "sample-missing-a-factor": (lambda m: m["samples"][0]["factors"].pop("haze"), None,
+                                "manifest key 'samples[0].factors' must have the key 'haze'"),
+    "factor-value-not-observed": (_set("samples", 0, "factors", "haze", value=0.9), None,
+                                  "manifest key 'samples[0].factors.haze' must be one of"),
+    "pairs-of-an-unknown-factor": (_set("pairs", "hze", value=[[0, 1]]), None,
+                                   "unknown manifest key 'hze' in pairs"),
+    "image-size-not-the-ppms": (_set("image_size", value=[16, 16]), None,
+                                "{ds}/sample_000000.ppm: PPM dims 32x32 differ"),
+    "partition-not-a-string": (_set("samples", 0, "partition", value=5), None,
+                               "manifest key 'samples[0].partition' must be str"),
+    "factor-value-nan": (_set("factor_specs", 0, "observed_values", 0, value=math.nan), None,
+                         "manifest key 'factor_specs[0].observed_values[0]' must be str "
+                         "or int or float"),
+    "factor-spec-twice": (lambda m: m["factor_specs"].append(m["factor_specs"][0]), None,
+                          "factor names must be unique"),
+}
+
+
 @pytest.mark.parametrize("stage", ["train-teacher", "distill"])
-@pytest.mark.parametrize("index", [99999, -1])
-def test_out_of_range_pair_index_exits_2(workdir, tmp_path, capsys, stage, index):
+@pytest.mark.parametrize("mutation", BAD_DATASETS)
+def test_bad_dataset_exits_2(workdir, tmp_path, capsys, stage, mutation):
+    edit, ppm, named = BAD_DATASETS[mutation]
     ds = tmp_path / "ds"
     shutil.copytree(workdir / "ds", ds)
-    manifest = json.loads((ds / "manifest.json").read_text())
-    manifest["pairs"]["backdrop"][2][1] = index
-    (ds / "manifest.json").write_text(json.dumps(manifest))
+    if edit:
+        manifest = json.loads((ds / "manifest.json").read_text())
+        edit(manifest)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+    if ppm:
+        (ds / "sample_000000.ppm").write_bytes(ppm)
     args = _stage_args(stage, workdir, tmp_path)
     args[args.index("--data") + 1] = str(ds)
     assert main([stage, "--config", str(workdir / "cfg.json"), *args]) == 2
-    assert (f"pair index {index} of factor 'backdrop' is outside [0, "
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert named.format(ds=ds) in err
+
+
+@pytest.mark.parametrize("stage, flag", [
+    ("gen-data", "--config"), ("train-teacher", "--config"),
+    ("gen-data", "--out"), ("train-teacher", "--out"), ("distill", "--out"),
+    ("distill", "--teacher"), ("certify", "--model"), ("evaluate", "--student"),
+])
+def test_path_of_the_wrong_kind_exits_2(workdir, tmp_path, capsys, stage, flag):
+    target = tmp_path / "taken"
+    if (stage, flag) == ("gen-data", "--out"):
+        target.write_text("")       # gen-data makes its --out directory: a file is in the way
+    else:
+        target.mkdir()
+    args = ["--config", str(workdir / "cfg.json"), *_stage_args(stage, workdir, tmp_path)]
+    args[args.index(flag) + 1] = str(target)
+    assert main([stage, *args]) == 2
+    assert str(target) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["config", "manifest"])
+def test_non_utf8_json_exits_2(workdir, tmp_path, capsys, what):
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    cfg = tmp_path / "cfg.json"
+    shutil.copy(workdir / "cfg.json", cfg)
+    bad = cfg if what == "config" else ds / "manifest.json"
+    bad.write_bytes(b'{"seed": "\xff"}')
+    assert main(["train-teacher", "--config", str(cfg), "--data", str(ds),
+                 "--out", str(tmp_path / "t.bin")]) == 2
+    assert f"{bad}: unreadable JSON" in capsys.readouterr().err
 
 
 def test_partial_margins_run(workdir, tmp_path):

@@ -1,10 +1,11 @@
 """Property-based fuzz of the config layer.  A config built from the key
-paths of `cli.SCHEMA` follows the schema until up to two of its values, at
-any depth, are replaced by arbitrary JSON.  The checker must accept it when
-nothing was replaced; otherwise only a ConfigError may escape it, and the
-settings built from what it accepts raise nothing but a ConfigError or a
-FactorError.  No stage runs and every value stays small, so no example
-allocates more than a few kilobytes."""
+paths of `cli.SCHEMA`, with every key that a section requires, follows the
+schema until up to two of its values, at any depth, are replaced by
+arbitrary JSON.  The checker (`rules.checked`) must accept it when nothing
+was replaced; otherwise only a ConfigError may escape it, and the settings
+and factor specs (`data.factor_specs`) built from what it accepts raise
+nothing but a ConfigError or a FactorError.  No stage runs and every value
+stays small, so no example allocates more than a few kilobytes."""
 
 import json
 import math
@@ -12,7 +13,8 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from dde import cli
-from dde.data import ConfigError, FactorError, RENDER_ROLES
+from dde.data import ConfigError, FactorError, RENDER_ROLES, factor_specs
+from dde.rules import REQUIRED, checked
 
 JSON_LEAF = (st.none() | st.booleans() | st.integers(-3, 50)
              | st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf])
@@ -31,8 +33,10 @@ def _valid(rule):
     if isinstance(rule, dict) and str in rule:
         return st.dictionaries(NAMES, _valid(rule[str]), max_size=3)
     if isinstance(rule, dict):
-        keys = {k: _valid(r) for k, r in rule.items()}
-        return st.fixed_dictionaries(keys) | st.fixed_dictionaries({}, optional=keys)
+        keys = {k: _valid(r) for k, r in rule.items() if k is not REQUIRED}
+        need = {k: keys.pop(k) for k in rule.get(REQUIRED, ())}
+        return (st.fixed_dictionaries({**need, **keys})
+                | st.fixed_dictionaries(need, optional=keys))
     if isinstance(rule, list) and len(rule) > 1:
         return st.tuples(*map(_valid, rule)).map(list)
     if isinstance(rule, list):
@@ -69,14 +73,14 @@ def test_only_config_errors_escape(config, data):
             target[last] = data.draw(JSON)
             damaged = True
     try:
-        checked = cli._checked(config, cli.SCHEMA, "")
+        typed = checked(config, cli.SCHEMA)
     except ConfigError:
         assert damaged
         return
-    assert checked == config
-    cli._train_config(checked, 0)
-    cli._teacher_config(checked, 0)
+    assert typed == config
+    cli._train_config(typed, 0)
+    cli._teacher_config(typed, 0)
     try:
-        cli._factor_specs(checked)
+        factor_specs(typed.get("data", {}).get("factors"))
     except (ConfigError, FactorError):
         pass
