@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -156,10 +157,12 @@ def cmd_distill(args) -> int:
     ds = data_mod.load(args.data)
     teacher = load_weights(args.teacher)
     student, trace = distill(teacher, ds, _train_config(cfg, seed))
+    last = trace.records[-1]
+    if not math.isfinite(last["L_D"]):
+        raise TrainingError(f"final L_D is {last['L_D']}; no student saved")
     save_weights(student, args.out, meta=prov)
     if args.trace:
         trace.to_csv(args.trace, meta=prov)
-    last = trace.records[-1]
     print(f"student saved to {args.out} "
           f"({student.parameter_count()} parameters, "
           f"{len(trace.records)} epochs, final L_D={last['L_D']:.6f})")

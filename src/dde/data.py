@@ -302,6 +302,10 @@ def save(dataset: FactorDataset, out_dir: str, meta: dict | None = None) -> None
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
+# a sample's file, as `save` names it: no path that leads out of the directory
+PLAIN_NAME = (str, lambda v: v not in ("", "..") and not set("/\\\0") & set(v),
+              "be a plain file name in the dataset directory")
+
 # the manifest as `save` writes it; `load` checks its samples and pairs against
 # rules built from its factor specs and its sample count
 MANIFEST = {"seed": (int, *AT_LEAST_0), "image_size": [(int, *AT_LEAST_1)] * 2,
@@ -318,7 +322,7 @@ def load(in_dir: str) -> FactorDataset:
     specs = factor_specs(manifest["factor_specs"])
     values = {s.name: ((str, int, float), lambda v, s=s: v in s.observed_values,
                        f"be one of {list(s.observed_values)}") for s in specs}
-    sample = {"file": (str, *ANY), "factors": {**values, REQUIRED: tuple(values)},
+    sample = {"file": PLAIN_NAME, "factors": {**values, REQUIRED: tuple(values)},
               "split": (str, lambda v: v in SPLITS, f"be one of {', '.join(SPLITS)}"),
               "partition": (str, *ANY), REQUIRED: ("file", "factors", "split", "partition")}
     n = len(manifest["samples"])

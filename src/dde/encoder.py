@@ -383,6 +383,14 @@ def encode_batched(model: EncoderModel, images: np.ndarray, batch: int = 64):
     return mu, lv
 
 
+def split_latent(latent: GaussianLatent, sizes: list) -> list:
+    """The latent of a concatenation of groups, split back into one latent
+    per group along axis 0; `sizes` are the group lengths, in order."""
+    return [GaussianLatent(*(t.take(np.arange(end - k, end), axis=0)
+                             for t in (latent.mu, latent.logvar)))
+            for end, k in zip(np.cumsum(sizes), sizes)]
+
+
 def sample(latent: GaussianLatent, rng: Rng | None = None, eps=None) -> Tensor:
     """Reparameterized draw a = eps * sigma + mu from a Gaussian latent, with
     sigma the standard deviation exp(logvar/2).  The result is a constant

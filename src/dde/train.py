@@ -15,8 +15,8 @@ import numpy as np
 
 from .tensor import Tensor, Rng, AdamState, adam_step, grad, NumericError
 from .data import FactorDataset, ConfigError
-from .encoder import (EncoderModel, GaussianLatent, build_teacher, compress,
-                      encode, encode_batched, sample, clip_norms as _clip_model)
+from .encoder import (EncoderModel, GaussianLatent, build_teacher, compress, encode,
+                      encode_batched, sample, split_latent, clip_norms as _clip_model)
 from .losses import distill_loss, adapt_loss, isolation_loss, bounded, hinge
 
 
@@ -112,11 +112,16 @@ class DualTrace:
 
 
 def _pair_factors(dataset: FactorDataset) -> list:
-    """The dataset's factor names; every factor needs a pair set."""
+    """The dataset's factor names; training needs a train sample and, for
+    every factor, a pair set that holds a pair."""
+    if not dataset.indices("train"):
+        raise ConfigError("dataset has no training samples")
     factors = [s.name for s in dataset.specs]
     for f in factors:
         if f not in dataset.pair_sets:
             raise ConfigError(f"dataset has no pair set for factor '{f}'")
+        if not dataset.pair_sets[f].pairs:
+            raise ConfigError(f"dataset has no pairs for factor '{f}'")
     return factors
 
 
@@ -172,36 +177,39 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
     adam = AdamState()
     trace = DualTrace(factors)
 
+    def step(xs, pairs):
+        """One primal step on a batch, all its groups encoded in one call;
+        returns only floats, so its tape dies before the next batch."""
+        b = len(xs)
+        groups = [xs, *(ix for f in factors for ix in pairs[f])]
+        s_lat, *pair_lats = split_latent(
+            encode(student, images[np.concatenate(groups)]), [len(g) for g in groups])
+        t_lat = _const_latent(t_mu[xs], t_lv[xs])
+        ld = bounded(distill_loss(t_lat, s_lat), "D")        # (b,)
+        total = ld
+        hinges = {}
+        for f, sl, sl2 in zip(factors, pair_lats[::2], pair_lats[1::2]):
+            ia, ib = pairs[f]
+            # one epsilon per pair, shared across (x, x')
+            eps = rng.normal((b, n))
+            a = sample(_const_latent(t_mu[ia], t_lv[ia]), eps=eps)
+            a2 = sample(_const_latent(t_mu[ib], t_lv[ib]), eps=eps)
+            h_a = hinge(bounded(adapt_loss(a, sl, a2, sl2, rep[f]), "A"),
+                        margins[("A", f)])
+            h_i = hinge(bounded(isolation_loss(a, sl, a2, sl2, rep[f], n), "I"),
+                        margins[("I", f)])
+            total = total + lambdas[("A", f)] * h_a + lambdas[("I", f)] * h_i
+            hinges[("A", f)] = float(h_a.data.mean())
+            hinges[("I", f)] = float(h_i.data.mean())
+        adam_step(params, grad(total.mean(), params), adam, config.lr)
+        return float(ld.data.mean()), hinges
+
     for epoch in range(config.epochs):
         first = len(trace.batch_records)
         for xs, pairs in _epoch_batches(rng, dataset, train_idx, factors,
                                         config.batch_size):
-            b = len(xs)
-
             try:
-                s_lat = encode(student, images[xs])
-                t_lat = _const_latent(t_mu[xs], t_lv[xs])
-                ld = bounded(distill_loss(t_lat, s_lat), "D")        # (b,)
-                total = ld
-                hinges = {}
-                for f in factors:
-                    ia, ib = pairs[f]
-                    # one epsilon per pair, shared across (x, x')
-                    eps = rng.normal((b, n))
-                    a = sample(_const_latent(t_mu[ia], t_lv[ia]), eps=eps)
-                    a2 = sample(_const_latent(t_mu[ib], t_lv[ib]), eps=eps)
-                    sl = encode(student, images[ia])
-                    sl2 = encode(student, images[ib])
-                    h_a = hinge(bounded(adapt_loss(a, sl, a2, sl2, rep[f]), "A"),
-                                margins[("A", f)])
-                    h_i = hinge(bounded(isolation_loss(a, sl, a2, sl2, rep[f], n), "I"),
-                                margins[("I", f)])
-                    total = total + lambdas[("A", f)] * h_a + lambdas[("I", f)] * h_i
-                    hinges[("A", f)] = float(h_a.data.mean())
-                    hinges[("I", f)] = float(h_i.data.mean())
-                root = total.mean()
-                grads = grad(root, params)
-                adam_step(params, grads, adam, config.lr)
+                ld, hinges = step(xs, pairs)
             except NumericError as e:
                 raise TrainingError(f"non-finite loss at epoch {epoch}: {e}") from e
 
@@ -209,7 +217,7 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
             if config.spectral_clip_enabled:
                 _clip_model(student, config.spectral_clip_theta)
             trace.batch_records.append({
-                "epoch": epoch, "L_D": float(ld.data.mean()), "hinges": hinges,
+                "epoch": epoch, "L_D": ld, "hinges": hinges,
                 "lambda_before": before, "lambda_after": lambdas})
 
         batches = trace.batch_records[first:]
@@ -285,34 +293,37 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
     train_idx = dataset.indices("train")
     images = dataset.images
 
+    def step(xs, pairs):
+        """One Adam step on a batch, all its groups encoded in one call; its
+        tape dies with this frame, before the next batch."""
+        b = len(xs)
+        groups = [xs, *(ix for f in factors for ix in pairs[f])]
+        lat, *pair_lats = split_latent(
+            encode(model, images[np.concatenate(groups)]), [len(g) for g in groups])
+        eps = Tensor(rng.normal((b, n)))
+        z = lat.mu + eps * (lat.logvar * 0.5).exp()
+        hid = (z @ dw1.T + db1).leaky_relu(0.2)
+        recon = hid @ dw2.T + db2
+        target = images[xs].reshape(b, -1)
+        mse = ((recon - Tensor(target)) ** 2).mean()
+        v = lat.logvar.exp()
+        kl = ((lat.mu ** 2 + v - 1.0 - lat.logvar).sum(axis=-1) * 0.5).mean()
+        loss = config.recon_weight * mse + config.kl_weight * kl
+
+        for f, la, lb in zip(factors, pair_lats[::2], pair_lats[1::2]):
+            dmu = la.mu - lb.mu
+            zf = model.rep_dims[f]
+            comp = [k for k in range(n) if k not in set(zf)]
+            pen = (dmu.take(comp, axis=-1) ** 2).mean()
+            rew = dmu.take(zf, axis=-1).abs().mean()
+            loss = loss + config.align_penalty * pen - config.align_reward * rew
+        adam_step(params, grad(loss, params), adam, config.lr)
+
     for epoch in range(config.epochs):
         for xs, pairs in _epoch_batches(rng, dataset, train_idx, factors,
                                         config.batch_size):
-            b = len(xs)
             try:
-                lat = encode(model, images[xs])
-                eps = Tensor(rng.normal((b, n)))
-                z = lat.mu + eps * (lat.logvar * 0.5).exp()
-                hid = (z @ dw1.T + db1).leaky_relu(0.2)
-                recon = hid @ dw2.T + db2
-                target = images[xs].reshape(b, -1)
-                mse = ((recon - Tensor(target)) ** 2).mean()
-                v = lat.logvar.exp()
-                kl = ((lat.mu ** 2 + v - 1.0 - lat.logvar).sum(axis=-1) * 0.5).mean()
-                loss = config.recon_weight * mse + config.kl_weight * kl
-
-                for f in factors:
-                    ia, ib = pairs[f]
-                    la = encode(model, images[ia])
-                    lb = encode(model, images[ib])
-                    dmu = la.mu - lb.mu
-                    zf = model.rep_dims[f]
-                    comp = [k for k in range(n) if k not in set(zf)]
-                    pen = (dmu.take(comp, axis=-1) ** 2).mean()
-                    rew = dmu.take(zf, axis=-1).abs().mean()
-                    loss = loss + config.align_penalty * pen - config.align_reward * rew
-                grads = grad(loss, params)
-                adam_step(params, grads, adam, config.lr)
+                step(xs, pairs)
             except NumericError as e:
                 raise TrainingError(f"teacher diverged at epoch {epoch}: {e}") from e
 

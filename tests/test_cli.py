@@ -549,6 +549,15 @@ BAD_DATASETS = {
                          "or int or float"),
     "factor-spec-twice": (lambda m: m["factor_specs"].append(m["factor_specs"][0]), None,
                           "factor names must be unique"),
+    "file-absolute": (_set("samples", 0, "file", value="/sample_000001.ppm"), None,
+                      "manifest key 'samples[0].file' must be a plain file name"),
+    # a valid PPM, reached from outside the dataset directory
+    "file-up-a-level": (_set("samples", 0, "file", value="../ds/sample_000001.ppm"), None,
+                        "manifest key 'samples[0].file' must be a plain file name"),
+    "no-train-sample": (lambda m: [s.update(split="test") for s in m["samples"]], None,
+                        "dataset has no training samples"),
+    "pair-list-empty": (_set("pairs", "haze", value=[]), None,
+                        "dataset has no pairs for factor 'haze'"),
 }
 
 
@@ -570,6 +579,21 @@ def test_bad_dataset_exits_2(workdir, tmp_path, capsys, stage, mutation):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert named.format(ds=ds) in err
+
+
+def test_non_finite_final_l_d_exits_3_saving_nothing(workdir, tmp_path, capsys,
+                                                     monkeypatch):
+    real = cli.distill
+
+    def nan_last_epoch(*args):
+        student, trace = real(*args)
+        trace.records[-1]["L_D"] = math.nan
+        return student, trace
+    monkeypatch.setattr(cli, "distill", nan_last_epoch)
+    args = _stage_args("distill", workdir, tmp_path) + ["--trace", str(tmp_path / "t.csv")]
+    assert main(["distill", "--config", str(workdir / "cfg.json"), *args]) == 3
+    assert "final L_D is nan; no student saved" in capsys.readouterr().err
+    assert not (tmp_path / "s.bin").exists() and not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("stage, flag", [

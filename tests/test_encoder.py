@@ -9,7 +9,7 @@ from dde.data import ConfigError
 from dde import encoder
 from dde.encoder import (EncoderModel, LayerSpec, CorruptWeightsError,
                          standardize, build_teacher, compress, encode, sample,
-                         save_weights, load_weights, DEFAULT_GAIN)
+                         save_weights, load_weights, split_latent, DEFAULT_GAIN)
 
 from oracles import fd_grad, rel_err, standardize_tape
 
@@ -249,6 +249,51 @@ class TestEncode:
         a = encode(model, x)
         b = encode(model, x)
         assert np.array_equal(a.mu.data, b.mu.data)
+
+
+ACCEPTANCE_ARCH = {"widths": (8, 16, 32), "latent_dim": 16,
+                   "rep_dims": {"haze": [3], "backdrop": [6]}}
+
+
+@pytest.fixture(scope="module", params=["default", "acceptance"])
+def training_model(request):
+    """An unfrozen encoder, as the training loops encode with."""
+    return build_teacher({} if request.param == "default" else ACCEPTANCE_ARCH)
+
+
+class TestSplitLatent:
+    @pytest.mark.parametrize("b", [1, 3, 8, 16])
+    def test_groups_of_one_encode_match_separate_encodes(self, training_model, b):
+        # the groups of a two-factor batch: the batch, then each pair side
+        x = Rng(b).uniform(0, 1, (5 * b, 3, 32, 32))
+        whole = encode(training_model, x)
+        for g, part in enumerate(split_latent(whole, [b] * 5)):
+            rows = slice(g * b, (g + 1) * b)
+            alone = encode(training_model, x[rows])
+            for got, full, want in ((part.mu, whole.mu, alone.mu),
+                                    (part.logvar, whole.logvar, alone.logvar)):
+                assert np.array_equal(got.data, full.data[rows])
+                # the conv trunk runs each image on its own; the linear heads
+                # are one matmul whose rounding of a row can depend on the
+                # row count (BLAS kernel choice)
+                assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+    def test_bit_identical_at_the_acceptance_recipe(self):
+        # criteria 4 and 5 distill the acceptance architecture in batches
+        # of 8, where the fused forward is the separate one bit for bit
+        model = build_teacher(ACCEPTANCE_ARCH)
+        x = Rng(0).uniform(0, 1, (40, 3, 32, 32))
+        for g, part in enumerate(split_latent(encode(model, x), [8] * 5)):
+            alone = encode(model, x[8 * g:8 * (g + 1)])
+            assert np.array_equal(part.mu.data, alone.mu.data)
+            assert np.array_equal(part.logvar.data, alone.logvar.data)
+
+    def test_sizes_in_order(self):
+        lat = encode(build_teacher(ACCEPTANCE_ARCH), Rng(1).uniform(0, 1, (6, 3, 32, 32)))
+        parts = split_latent(lat, [1, 0, 2, 3])
+        assert [p.mu.shape[0] for p in parts] == [1, 0, 2, 3]
+        assert np.array_equal(np.concatenate([p.logvar.data for p in parts]),
+                              lat.logvar.data)
 
 
 class TestSample:

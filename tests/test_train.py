@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,3 +214,89 @@ def test_teacher_deterministic(tiny_dataset):
     b = train_teacher(tiny_dataset, cfg)
     for p, q in zip(a.params, b.params):
         assert np.array_equal(p["w"].data, q["w"].data)
+
+
+# the two training loops, each run for `epochs` on the tiny fixtures
+def _run_loop(loop, teacher, dataset, epochs=1):
+    from conftest import TINY_ARCH
+    if loop == "distill":
+        return distill(teacher, dataset, TrainConfig(epochs=epochs, batch_size=8, seed=0))
+    return train_teacher(dataset, TeacherConfig(arch=dict(TINY_ARCH), epochs=epochs,
+                                                batch_size=8, seed=3))
+
+
+def _spy(monkeypatch, name, before):
+    """Rebind dde.train.<name> to a wrapper that calls before(*args) first."""
+    real = getattr(train, name)
+
+    def wrapper(*args):
+        before(*args)
+        return real(*args)
+    monkeypatch.setattr(train, name, wrapper)
+
+
+def _encode_each_group(monkeypatch):
+    """Make a loop encode each group of its batch on its own (five encodes of
+    a two-factor batch) instead of their concatenation in one call."""
+    real = train.encode
+    monkeypatch.setattr(train, "encode", lambda model, x: (model, x))
+    monkeypatch.setattr(train, "split_latent", lambda pending, sizes: [
+        real(pending[0], part) for part in np.split(pending[1], np.cumsum(sizes)[:-1])])
+
+
+@pytest.mark.parametrize("loop", ["distill", "teacher"])
+class TestOneEncodePerBatch:
+    def test_gradients_match_separate_encodes(self, monkeypatch, tiny_teacher,
+                                              tiny_dataset, loop):
+        # the weight gradients of the first step; the forward may round a row
+        # of the linear heads differently when the row count changes, and the
+        # backward sums the batch in another order
+        steps = {}
+        for how in ("one call", "each group"):
+            with monkeypatch.context() as m:
+                if how == "each group":
+                    _encode_each_group(m)
+                got = steps[how] = []
+                _spy(m, "adam_step", lambda params, grads, *_: got.append(
+                    [g.data.copy() for g in grads]))
+                _run_loop(loop, tiny_teacher, tiny_dataset)
+        fused, separate = steps["one call"][0], steps["each group"][0]
+        assert len(fused) == len(separate) > 0
+        for a, b in zip(fused, separate):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_each_batch_encoded_once(self, monkeypatch, tiny_teacher, tiny_dataset, loop):
+        calls = {"encode": 0, "adam_step": 0}
+        for name in calls:
+            _spy(monkeypatch, name, lambda *_, name=name: calls.__setitem__(
+                name, calls[name] + 1))
+        _run_loop(loop, tiny_teacher, tiny_dataset, epochs=2)
+        assert calls["encode"] == calls["adam_step"] > 2
+
+    def test_previous_tape_dead_before_next_batch(self, monkeypatch, tiny_teacher,
+                                                   tiny_dataset, loop):
+        # weak references to each batch's encode output and loss root: all
+        # of them are dead when the next batch's encode starts, and the last
+        # root is dead when the next batch's grad starts; with the cyclic
+        # collector off, only reference counts free a tape
+        refs, alive = [], []
+        real_encode, real_grad = train.encode, train.grad
+
+        def encode(model, x):
+            alive.append(any(r() is not None for r in refs))
+            out = real_encode(model, x)
+            refs.append(weakref.ref(out.mu))
+            return out
+
+        def grad(root, leaves):
+            alive.append(any(r() is not None for r in refs[:-1]))
+            refs.append(weakref.ref(root))
+            return real_grad(root, leaves)
+        monkeypatch.setattr(train, "encode", encode)
+        monkeypatch.setattr(train, "grad", grad)
+        gc.disable()
+        try:
+            _run_loop(loop, tiny_teacher, tiny_dataset, epochs=2)
+        finally:
+            gc.enable()
+        assert len(refs) > 4 and not any(alive)
