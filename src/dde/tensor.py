@@ -41,8 +41,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """N-dimensional float64 array, optionally participating in the grad tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
-                 "__weakref__")        # lets a test see that a dropped tape is freed
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)

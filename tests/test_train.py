@@ -275,22 +275,23 @@ class TestOneEncodePerBatch:
 
     def test_previous_tape_dead_before_next_batch(self, monkeypatch, tiny_teacher,
                                                    tiny_dataset, loop):
-        # weak references to each batch's encode output and loss root: all
-        # of them are dead when the next batch's encode starts, and the last
-        # root is dead when the next batch's grad starts; with the cyclic
-        # collector off, only reference counts free a tape
+        # weak references to the arrays of each batch's encode output and
+        # loss root (an array lives as long as its tensor): all of them are
+        # dead when the next batch's encode starts, and the last root is dead
+        # when the next batch's grad starts; with the cyclic collector off,
+        # only reference counts free a tape
         refs, alive = [], []
         real_encode, real_grad = train.encode, train.grad
 
         def encode(model, x):
             alive.append(any(r() is not None for r in refs))
             out = real_encode(model, x)
-            refs.append(weakref.ref(out.mu))
+            refs.append(weakref.ref(out.mu.data))
             return out
 
         def grad(root, leaves):
             alive.append(any(r() is not None for r in refs[:-1]))
-            refs.append(weakref.ref(root))
+            refs.append(weakref.ref(root.data))
             return real_grad(root, leaves)
         monkeypatch.setattr(train, "encode", encode)
         monkeypatch.setattr(train, "grad", grad)
