@@ -10,7 +10,6 @@ corrupt weights, numerics).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -177,15 +176,8 @@ def cmd_certify(args) -> int:
     report = certify(model, ds, m_grid=cert.pop("m_grid", None), constants=cert)
     report["provenance"] = prov
     _write_json(args.out_json, report)
-    meta = {k: str(v) for k, v in prov.items()}
-    cols = (["m"] + [f"dudley_{k}" for k in ("D", "A", "I")]
-            + [f"zeta_{k}" for k in ("D", "A", "I")] + list(meta))
-    with open(args.out_csv, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=cols)
-        writer.writeheader()
-        for row in report["zeta_vs_m"]:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
-                             for k, v in row.items()} | meta)
+    cols = ["m", *(f"{q}_{kind}" for q in ("dudley", "zeta") for kind in "DAI")]
+    data_mod.write_csv(args.out_csv, cols, report["zeta_vs_m"], prov)
     for kind in ("D", "A", "I"):
         print(f"kappa_theta[{kind}]={report['kappa_theta'][kind]:.6g} "
               f"zeta[{kind}]={report['zeta'][kind]['zeta']:.6g}")

@@ -9,6 +9,7 @@ one factor.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -300,6 +301,18 @@ def save(dataset: FactorDataset, out_dir: str, meta: dict | None = None) -> None
         manifest["provenance"] = meta
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
+
+
+def write_csv(path: str, cols: list, rows, meta: dict | None = None) -> None:
+    """One CSV line per row dict under the header `cols`, floats by `repr` so
+    that they read back exactly, then each `meta` value as a string."""
+    extra = {k: str(v) for k, v in (meta or {}).items()}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=[*cols, *extra])
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: repr(v) if isinstance(v, float) else v
+                             for k, v in row.items()} | extra)
 
 
 # a sample's file, as `save` names it: no path that leads out of the directory

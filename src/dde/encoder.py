@@ -391,12 +391,11 @@ def split_latent(latent: GaussianLatent, sizes: list) -> list:
             for end, k in zip(np.cumsum(sizes), sizes)]
 
 
-def sample(latent: GaussianLatent, rng: Rng | None = None, eps=None) -> Tensor:
+def sample(latent: GaussianLatent, eps) -> Tensor:
     """Reparameterized draw a = eps * sigma + mu from a Gaussian latent, with
-    sigma the standard deviation exp(logvar/2).  The result is a constant
-    (off-tape) tensor.
+    sigma the standard deviation exp(logvar/2) and `eps` the standard normal
+    draws.  The result is a constant (off-tape) tensor.
     """
-    eps = rng.normal(latent.mu.shape) if eps is None else np.asarray(eps, dtype=np.float64)
     return Tensor(eps * np.exp(latent.logvar.data / 2.0) + latent.mu.data)
 
 

@@ -7,7 +7,7 @@ batches (B, N); batched inputs produce one loss value per sample.
 
 from __future__ import annotations
 
-from .tensor import Tensor, ContractError
+from .tensor import Tensor, ContractError, _as_tensor
 
 
 def distill_loss(teacher, student) -> Tensor:
@@ -27,35 +27,31 @@ def distill_loss(teacher, student) -> Tensor:
 
 def mutual_info(a, mu, logvar) -> Tensor:
     """I = -1/2 * [ logvar + (a - mu)^2 / exp(logvar) ], elementwise."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    mu = mu if isinstance(mu, Tensor) else Tensor(mu)
-    logvar = logvar if isinstance(logvar, Tensor) else Tensor(logvar)
+    a, mu, logvar = map(_as_tensor, (a, mu, logvar))
     return (logvar + (a - mu) ** 2 / logvar.exp()) * -0.5
 
 
-def _mean_mi(a: Tensor, latent, dims) -> Tensor:
-    mi = mutual_info(a.take(dims, axis=-1),
-                     latent.mu.take(dims, axis=-1),
-                     latent.logvar.take(dims, axis=-1))
-    return mi.mean(axis=-1)
+def _mean_over(mi: Tensor, dims) -> Tensor:
+    return mi.take(dims, axis=-1).mean(axis=-1)
 
 
-def adapt_loss(a: Tensor, latent, a2: Tensor, latent2, rep_dims) -> Tensor:
+def adapt_loss(mi: Tensor, mi2: Tensor, rep_dims) -> Tensor:
     """Mean mutual-information difference over the representative dims:
-    the teacher's information about the changed factor must transfer."""
+    the teacher's information about the changed factor must transfer.
+    `mi` and `mi2` are the pointwise MI tables of the two pair sides."""
     if not len(rep_dims):
         raise ContractError("representative dim set is empty")
-    return _mean_mi(a, latent, rep_dims) - _mean_mi(a2, latent2, rep_dims)
+    return _mean_over(mi, rep_dims) - _mean_over(mi2, rep_dims)
 
 
-def isolation_loss(a: Tensor, latent, a2: Tensor, latent2, rep_dims, n: int) -> Tensor:
-    """Information-gap preservation: MI difference over representative dims
-    (x minus x') plus the reversed difference over the complement."""
+def isolation_loss(mi: Tensor, mi2: Tensor, rep_dims) -> Tensor:
+    """Information-gap preservation: the adaptability loss (x minus x') plus
+    the reversed difference over the complement of the representative dims."""
+    n = mi.shape[-1]
     if not 1 <= len(rep_dims) < n:
         raise ContractError("need 1 <= |rep dims| < N (complement non-empty)")
     comp = [i for i in range(n) if i not in set(rep_dims)]
-    return ((_mean_mi(a, latent, rep_dims) - _mean_mi(a2, latent2, rep_dims))
-            + (_mean_mi(a2, latent2, comp) - _mean_mi(a, latent, comp)))
+    return adapt_loss(mi, mi2, rep_dims) + (_mean_over(mi2, comp) - _mean_over(mi, comp))
 
 
 def bounded(value: Tensor, kind: str) -> Tensor:

@@ -204,14 +204,18 @@ def certify(model, dataset, constants: dict | None = None, m_grid=None) -> dict:
                         "count": int(values.size)})
 
     delta_op = operator_drift(model)
+
+    def bound(kind, m):
+        return zeta_bound(m, d, consts["delta"], consts["loss_bound"][kind],
+                          consts["omega"], consts["kappa"][kind], chi, delta_op,
+                          nu, layer_count)
+
     bounds, kappa_thetas = {}, {}
     for kind in ("D", "A", "I"):
-        kappa = consts["kappa"][kind]
-        kappa_thetas[kind] = network_lipschitz(chi, kappa, delta_op, nu, layer_count)
-        m = consts["m"][kind]
-        b = zeta_bound(m, d, consts["delta"], consts["loss_bound"][kind],
-                       consts["omega"], kappa, chi, delta_op, nu, layer_count)
-        bounds[kind] = {"m": m, "dudley": b.dudley,
+        kappa_thetas[kind] = network_lipschitz(chi, consts["kappa"][kind], delta_op,
+                                               nu, layer_count)
+        b = bound(kind, consts["m"][kind])
+        bounds[kind] = {"m": consts["m"][kind], "dudley": b.dudley,
                         "concentration": b.concentration, "zeta": b.zeta}
 
     if m_grid is None:
@@ -220,9 +224,7 @@ def certify(model, dataset, constants: dict | None = None, m_grid=None) -> dict:
     for m in m_grid:
         row = {"m": m}
         for kind in ("D", "A", "I"):
-            b = zeta_bound(m, d, consts["delta"], consts["loss_bound"][kind],
-                           consts["omega"], consts["kappa"][kind], chi, delta_op,
-                           nu, layer_count)
+            b = bound(kind, m)
             row[f"dudley_{kind}"] = b.dudley
             row[f"zeta_{kind}"] = b.zeta
         zeta_vs_m.append(row)

@@ -71,11 +71,11 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _as_tensor(other)
-        out = Tensor(self.data + other.data, _parents=(self, other), _op="add")
+        od, op = _operand(other)
+        out = Tensor(self.data + od, _parents=(self, *op), _op="add")
 
         def bw(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(g, other.shape)
+            return _unbroadcast(g, self.shape), _unbroadcast(g, od.shape)
 
         out._backward = bw
         return out
@@ -88,18 +88,19 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        return self + (-_as_tensor(other))
+        od, op = _operand(other)
+        return self + (-other if op else -od)
 
     def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = _as_tensor(other)
-        out = Tensor(self.data * other.data, _parents=(self, other), _op="mul")
+        od, op = _operand(other)
+        out = Tensor(self.data * od, _parents=(self, *op), _op="mul")
 
         def bw(g):
-            return (_unbroadcast(g * other.data, self.shape),
-                    _unbroadcast(g * self.data, other.shape))
+            return (_unbroadcast(g * od, self.shape),
+                    _unbroadcast(g * self.data, od.shape))
 
         out._backward = bw
         return out
@@ -107,12 +108,12 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_tensor(other)
-        out = Tensor(self.data / other.data, _parents=(self, other), _op="div")
+        od, op = _operand(other)
+        out = Tensor(self.data / od, _parents=(self, *op), _op="div")
 
         def bw(g):
-            return (_unbroadcast(g / other.data, self.shape),
-                    _unbroadcast(-g * self.data / other.data ** 2, other.shape))
+            return (_unbroadcast(g / od, self.shape),
+                    _unbroadcast(-g * self.data / od ** 2, od.shape))
 
         out._backward = bw
         return out
@@ -241,6 +242,14 @@ class Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operand(x):
+    """(data, parents) of an operand.  A constant is no parent, so it puts no
+    leaf on the tape, and `grad` drops the gradient a backward returns for it."""
+    if isinstance(x, Tensor):
+        return x.data, (x,)
+    return np.asarray(x, dtype=np.float64), ()
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

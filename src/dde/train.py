@@ -8,16 +8,15 @@ primal step, then a projected ascent step on each dual variable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import Tensor, Rng, AdamState, adam_step, grad, NumericError
-from .data import FactorDataset, ConfigError
+from .data import FactorDataset, ConfigError, write_csv
 from .encoder import (EncoderModel, GaussianLatent, build_teacher, compress, encode,
                       encode_batched, sample, split_latent, clip_norms as _clip_model)
-from .losses import distill_loss, adapt_loss, isolation_loss, bounded, hinge
+from .losses import distill_loss, mutual_info, adapt_loss, isolation_loss, bounded, hinge
 
 
 class TrainingError(RuntimeError):
@@ -95,20 +94,9 @@ class DualTrace:
     batch_records: list = field(default_factory=list)
 
     def to_csv(self, path: str, meta: dict | None = None) -> None:
-        cols = ["epoch", "L_D"]
-        for f in self.factors:
-            cols += [f"hinge_A_{f}", f"hinge_I_{f}"]
-        for f in self.factors:
-            cols += [f"lambda_A_{f}", f"lambda_I_{f}"]
-        extra = {k: str(v) for k, v in (meta or {}).items()}
-        cols += list(extra)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            for rec in self.records:
-                row = {c: repr(rec[c]) if isinstance(rec[c], float) else rec[c]
-                       for c in cols if c in rec}
-                writer.writerow(row | extra)
+        cols = ["epoch", "L_D", *(f"{q}_{kind}_{f}" for q in ("hinge", "lambda")
+                                  for f in self.factors for kind in "AI")]
+        write_csv(path, cols, self.records, meta)
 
 
 def _pair_factors(dataset: FactorDataset) -> list:
@@ -194,10 +182,11 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
             eps = rng.normal((b, n))
             a = sample(_const_latent(t_mu[ia], t_lv[ia]), eps=eps)
             a2 = sample(_const_latent(t_mu[ib], t_lv[ib]), eps=eps)
-            h_a = hinge(bounded(adapt_loss(a, sl, a2, sl2, rep[f]), "A"),
-                        margins[("A", f)])
-            h_i = hinge(bounded(isolation_loss(a, sl, a2, sl2, rep[f], n), "I"),
-                        margins[("I", f)])
+            # each side's pointwise MI, shared by both constraint losses
+            mi = mutual_info(a, sl.mu, sl.logvar)
+            mi2 = mutual_info(a2, sl2.mu, sl2.logvar)
+            h_a = hinge(bounded(adapt_loss(mi, mi2, rep[f]), "A"), margins[("A", f)])
+            h_i = hinge(bounded(isolation_loss(mi, mi2, rep[f]), "I"), margins[("I", f)])
             total = total + lambdas[("A", f)] * h_a + lambdas[("I", f)] * h_i
             hinges[("A", f)] = float(h_a.data.mean())
             hinges[("I", f)] = float(h_i.data.mean())
@@ -292,6 +281,8 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
     adam = AdamState()
     train_idx = dataset.indices("train")
     images = dataset.images
+    comps = {f: [k for k in range(n) if k not in set(model.rep_dims[f])]
+             for f in factors}
 
     def step(xs, pairs):
         """One Adam step on a batch, all its groups encoded in one call; its
@@ -312,10 +303,8 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
 
         for f, la, lb in zip(factors, pair_lats[::2], pair_lats[1::2]):
             dmu = la.mu - lb.mu
-            zf = model.rep_dims[f]
-            comp = [k for k in range(n) if k not in set(zf)]
-            pen = (dmu.take(comp, axis=-1) ** 2).mean()
-            rew = dmu.take(zf, axis=-1).abs().mean()
+            pen = (dmu.take(comps[f], axis=-1) ** 2).mean()
+            rew = dmu.take(model.rep_dims[f], axis=-1).abs().mean()
             loss = loss + config.align_penalty * pen - config.align_reward * rew
         adam_step(params, grad(loss, params), adam, config.lr)
 

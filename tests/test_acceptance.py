@@ -145,16 +145,16 @@ def test_1_loss_gradients_match_finite_differences():
         # pointwise information estimate wrt mu and logvar
         check(lambda x: mutual_info(a, x, Tensor(lv_s)).sum(), mu_s)
         check(lambda x: mutual_info(a, Tensor(mu_s), x).sum(), lv_s)
-        # adaptability loss wrt each side's mu
-        check(lambda x: adapt_loss(Tensor(a), lat(x, lv_s),
-                                   Tensor(a2), lat(mu2, lv2), rep), mu_s)
-        check(lambda x: adapt_loss(Tensor(a), lat(mu_s, lv_s),
-                                   Tensor(a2), lat(x, lv2), rep), mu2)
+        # adaptability loss wrt each side's mu, through each side's MI table
+        check(lambda x: adapt_loss(mutual_info(a, x, lv_s),
+                                   mutual_info(a2, mu2, lv2), rep), mu_s)
+        check(lambda x: adapt_loss(mutual_info(a, mu_s, lv_s),
+                                   mutual_info(a2, x, lv2), rep), mu2)
         # isolation loss wrt mu and logvar
-        check(lambda x: isolation_loss(Tensor(a), lat(x, lv_s),
-                                       Tensor(a2), lat(mu2, lv2), rep, n), mu_s)
-        check(lambda x: isolation_loss(Tensor(a), lat(mu_s, lv_s),
-                                       Tensor(a2), lat(mu2, x), rep, n), lv2)
+        check(lambda x: isolation_loss(mutual_info(a, x, lv_s),
+                                       mutual_info(a2, mu2, lv2), rep), mu_s)
+        check(lambda x: isolation_loss(mutual_info(a, mu_s, lv_s),
+                                       mutual_info(a2, mu2, x), rep), lv2)
         # bounded composites and the margin hinge (away from the kink)
         v = rng.normal(4)
         check(lambda x: bounded(x, "D").sum(), v)

@@ -192,3 +192,11 @@ class TestHandWrittenManifest:
 def test_chi_is_max_train_norm(ds):
     want = max(np.linalg.norm(ds.images[i].ravel()) for i in ds.indices("train"))
     assert chi_of_dataset(ds) == pytest.approx(want, rel=0, abs=0)
+
+
+def test_write_csv_floats_by_repr_then_meta(tmp_path):
+    path = tmp_path / "rows.csv"
+    data.write_csv(str(path), ["a", "b"], [{"a": 1, "b": 0.1 + 0.2}, {"b": 2.5, "a": 3}],
+                   {"seed": 7, "tag": "x"})
+    assert path.read_bytes() == (b"a,b,seed,tag\r\n1,0.30000000000000004,7,x\r\n"
+                                 b"3,2.5,7,x\r\n")

@@ -315,7 +315,7 @@ class TestSample:
         lv = np.array([np.log(0.25)])
         lat = encoder.GaussianLatent(Tensor(np.tile(mu, (100000, 1))),
                                      Tensor(np.tile(lv, (100000, 1))))
-        draws = sample(lat, rng=Rng(0)).data
+        draws = sample(lat, eps=Rng(0).normal((100000, 1))).data
         assert abs(draws.mean() - 2.0) < 0.01
         assert abs(draws.std() - 0.5) < 0.01
 

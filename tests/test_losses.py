@@ -15,6 +15,11 @@ def lat(mu, lv):
     return GaussianLatent(Tensor(np.asarray(mu, float)), Tensor(np.asarray(lv, float)))
 
 
+def mi_of(a, latent):
+    """The pointwise MI table of draw `a` under `latent`."""
+    return mutual_info(a, latent.mu, latent.logvar)
+
+
 class TestDistillLoss:
     def test_zero_for_identical(self):
         l = lat([1.0, -2.0, 0.3], [0.1, -0.4, 0.0])
@@ -74,15 +79,15 @@ class TestAdaptLoss:
         a, a2 = Tensor(rng.normal((5, 6))), Tensor(rng.normal((5, 6)))
         l1 = lat(rng.normal((5, 6)), rng.normal((5, 6)))
         l2 = lat(rng.normal((5, 6)), rng.normal((5, 6)))
-        fwd = adapt_loss(a, l1, a2, l2, [1, 3]).data
-        rev = adapt_loss(a2, l2, a, l1, [1, 3]).data
+        fwd = adapt_loss(mi_of(a, l1), mi_of(a2, l2), [1, 3]).data
+        rev = adapt_loss(mi_of(a2, l2), mi_of(a, l1), [1, 3]).data
         assert np.allclose(fwd, -rev, atol=1e-12)
 
     def test_zero_for_identical_inputs(self):
         rng = Rng(4)
         a = Tensor(rng.normal((2, 4)))
         l = lat(rng.normal((2, 4)), rng.normal((2, 4)))
-        assert np.allclose(adapt_loss(a, l, a, l, [0]).data, 0.0)
+        assert np.allclose(adapt_loss(mi_of(a, l), mi_of(a, l), [0]).data, 0.0)
 
     def test_composition_from_mutual_info(self):
         rng = Rng(5)
@@ -92,13 +97,13 @@ class TestAdaptLoss:
         dims = [0, 2, 5]
         want = (mutual_info_closed(av, m1, v1)[dims].mean()
                 - mutual_info_closed(a2v, m2, v2)[dims].mean())
-        got = adapt_loss(Tensor(av), lat(m1, v1), Tensor(a2v), lat(m2, v2), dims).item()
+        got = adapt_loss(mi_of(av, lat(m1, v1)), mi_of(a2v, lat(m2, v2)), dims).item()
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_dims_rejected(self):
-        l = lat([0.0], [0.0])
+        mi = mi_of(np.zeros(1), lat([0.0], [0.0]))
         with pytest.raises(ContractError):
-            adapt_loss(Tensor(np.zeros(1)), l, Tensor(np.zeros(1)), l, [])
+            adapt_loss(mi, mi, [])
 
 
 class TestIsolationLoss:
@@ -112,22 +117,21 @@ class TestIsolationLoss:
                  - mutual_info_closed(a2v, m2, v2)[dims].mean())
                 + (mutual_info_closed(a2v, m2, v2)[comp].mean()
                    - mutual_info_closed(av, m1, v1)[comp].mean()))
-        got = isolation_loss(Tensor(av), lat(m1, v1), Tensor(a2v), lat(m2, v2),
-                             dims, 5).item()
+        got = isolation_loss(mi_of(av, lat(m1, v1)), mi_of(a2v, lat(m2, v2)),
+                             dims).item()
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_needs_nonempty_complement(self):
-        l = lat([0.0, 0.0], [0.0, 0.0])
-        a = Tensor(np.zeros(2))
+        mi = mi_of(np.zeros(2), lat([0.0, 0.0], [0.0, 0.0]))
         with pytest.raises(ContractError):
-            isolation_loss(a, l, a, l, [0, 1], 2)
+            isolation_loss(mi, mi, [0, 1])
 
     def test_batched_shape(self):
         rng = Rng(7)
         a, a2 = Tensor(rng.normal((4, 5))), Tensor(rng.normal((4, 5)))
         l1 = lat(rng.normal((4, 5)), rng.normal((4, 5)))
         l2 = lat(rng.normal((4, 5)), rng.normal((4, 5)))
-        assert isolation_loss(a, l1, a2, l2, [1], 5).shape == (4,)
+        assert isolation_loss(mi_of(a, l1), mi_of(a2, l2), [1]).shape == (4,)
 
 
 class TestBounded:

@@ -2,7 +2,8 @@
 dataset has up to two values of its manifest, at any depth, replaced by
 arbitrary JSON, or the header of one of its PPMs replaced by drawn bytes,
 and `train-teacher` (with no epochs) runs on it.  It must exit 0, 2 or 3;
-any exception escaping `main()` is a traceback.  `data.load` refuses a PPM
+any exception escaping `main()` is a traceback.  On exit 0 the teacher file
+it wrote must load back with every parameter finite.  `data.load` refuses a PPM
 whose dims are not the manifest's `image_size` before it reads the pixels,
 and every image is 16x16, so no example allocates more than a few KB."""
 
@@ -12,11 +13,13 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dde import data
 from dde.cli import main
+from dde.encoder import load_weights
 
 JSON_LEAF = (st.none() | st.booleans() | st.integers(-3, 50)
              | st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, 10**18])
@@ -81,9 +84,28 @@ def test_edited_dataset_exits_0_2_or_3(files, data):
         ppm.write_bytes(data.draw(HEADER) + pixels[:data.draw(st.sampled_from(
             [len(pixels), len(pixels) - 1, 0]))])
 
+    _check_train_teacher(files, ds)
+
+
+def _check_train_teacher(files, ds):
+    """Run `train-teacher` on dataset `ds`: it exits 0, 2 or 3 with no
+    traceback, and on exit 0 its teacher file loads with every parameter
+    finite.  Returns the exit code."""
+    out = files / "t.bin"
+    out.unlink(missing_ok=True)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main(["train-teacher", "--config", str(files / "cfg.json"),
-                   "--data", str(ds), "--out", str(files / "t.bin")])
+                   "--data", str(ds), "--out", str(out)])
     assert rc in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        model = load_weights(str(out))
+        assert all(np.isfinite(t.data).all() for p in model.params for t in p.values())
+    return rc
+
+
+def test_unedited_dataset_trains_and_reloads(files):
+    # few edits leave a dataset that trains, so the exit-0 branch of the fuzz
+    # is checked here on the dataset as written
+    assert _check_train_teacher(files, files / "ds") == 0

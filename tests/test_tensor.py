@@ -95,6 +95,44 @@ class TestBroadcastGrads:
         assert rel_err(gb.data, fd_grad(lambda v: ((a0 @ v) ** 2).sum(), b0)) <= 1e-4
 
 
+def _leaves(t):
+    """The tensors that have no parent, reached from `t` along the tape."""
+    seen, stack, out = set(), [t], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out += [node] if not node._parents else []
+            stack.extend(node._parents)
+    return out
+
+
+class TestConstantOperands:
+    # a number on either side of + - * /, or an array on the right, joins no
+    # tape, and the value and gradient equal those with the constant wrapped
+    # as a leaf
+    OPS = {"add": lambda x, c: x + c, "radd": lambda x, c: c + x,
+           "sub": lambda x, c: x - c, "rsub": lambda x, c: c - x,
+           "mul": lambda x, c: x * c, "rmul": lambda x, c: c * x,
+           "div": lambda x, c: x / c}
+    CASES = ([(name, 0.3) for name in sorted(OPS)]
+             + [(name, np.array([1.5, -2.0, 0.7])) for name in ("add", "sub", "mul", "div")])
+
+    @pytest.mark.parametrize("name,const", CASES)
+    def test_no_leaf_and_same_numbers(self, name, const):
+        x0 = np.array([0.4, -1.3, 2.2])
+        got, wrapped = [], []
+        for c, into in ((const, got), (Tensor(const), wrapped)):
+            x = Tensor(x0, requires_grad=True)
+            out = self.OPS[name](x, c) ** 2
+            if into is got:
+                assert len(_leaves(out)) == 1 and _leaves(out)[0] is x
+            (g,) = grad(out.sum(), [x])
+            into += [out.data, g.data]
+        for a, b in zip(got, wrapped):
+            assert np.array_equal(a, b)
+
+
 class TestConv2d:
     def test_forward_matches_naive(self):
         rng = Rng(0)

@@ -301,3 +301,23 @@ class TestOneEncodePerBatch:
         finally:
             gc.enable()
         assert len(refs) > 4 and not any(alive)
+
+
+def test_mutual_info_once_per_pair_side(monkeypatch, tiny_teacher, tiny_dataset):
+    # each factor's two pair sides have one pointwise MI table apiece, which
+    # the adaptability and the isolation loss share; calls from inside
+    # dde.losses count too
+    from dde import losses
+    calls = {"mutual_info": 0, "adam_step": 0}
+    real = losses.mutual_info
+
+    def mutual_info(*args):
+        calls["mutual_info"] += 1
+        return real(*args)
+    monkeypatch.setattr(losses, "mutual_info", mutual_info)
+    monkeypatch.setattr(train, "mutual_info", mutual_info)
+    _spy(monkeypatch, "adam_step", lambda *_: calls.__setitem__(
+        "adam_step", calls["adam_step"] + 1))
+    _run_loop("distill", tiny_teacher, tiny_dataset, epochs=2)
+    assert calls["adam_step"] > 2
+    assert calls["mutual_info"] == 2 * len(tiny_dataset.specs) * calls["adam_step"]
