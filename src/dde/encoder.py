@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .tensor import Tensor, Rng, conv2d, ContractError
+from .tensor import Tensor, Rng, conv2d, ContractError, _check_finite
 from .data import ConfigError
 from .spectral import layer_norm
 
@@ -213,7 +213,7 @@ class EncoderModel:
             out.extend([p["w"], p["b"]])
         return out
 
-    # layer index -> (weight array, gain, folded kernel); None until frozen
+    # each layer's effective kernel, a read-only array; None until frozen
     _folded = None
 
     @property
@@ -221,41 +221,27 @@ class EncoderModel:
         return self._folded is not None
 
     def freeze(self) -> None:
-        """Take the weights off the tape and make them read-only, so that
-        each conv layer's standardized kernel is folded once and reused by
-        every encode."""
+        """Take the weights off the tape and make them read-only, and fold
+        each layer's effective kernel once, checked for non-finite values, for
+        every later encode; a frozen model's weights and gains do not change."""
         if self.frozen:
             return
+        folded = [self.effective_kernel(li) for li in range(len(self.layers))]
+        for k in folded:
+            _check_finite(k, "freeze")
+            k.flags.writeable = False
         for t in self.trainable():
             t.requires_grad = False
             t.data.flags.writeable = False
-        self._folded = {}
+        self._folded = folded
 
     def effective_kernel(self, li: int) -> np.ndarray:
-        """The operator actually applied by layer li (standardized if conv).
-
-        On a frozen model a conv kernel is standardized once and returned
-        read-only; it is folded again if the weight array or the gain changed.
-        """
-        spec = self.layers[li]
-        w = self.params[li]["w"].data
-        if spec.kind != "conv":
-            return w.copy()
-        if not self.frozen:
-            return _standardize_forward(w, spec.gain)[0]
-        return self._folded_kernel(li).data
-
-    def _folded_kernel(self, li: int) -> Tensor:
-        # kept as a Tensor so that encode checks the kernel for non-finite
-        # values once, when it is folded, not on every call
-        spec = self.layers[li]
-        w = self.params[li]["w"].data
-        hit = self._folded.get(li)
-        if hit is None or hit[0] is not w or hit[1] != spec.gain:
-            eff = _standardize_forward(w, spec.gain)[0]
-            eff.flags.writeable = False
-            hit = self._folded[li] = (w, spec.gain, Tensor(eff))
-        return hit[2]
+        """The operator actually applied by layer li (standardized if conv);
+        the folded, read-only kernel on a frozen model."""
+        if self.frozen:
+            return self._folded[li]
+        spec, w = self.layers[li], self.params[li]["w"].data
+        return _standardize_forward(w, spec.gain)[0] if spec.kind == "conv" else w.copy()
 
 
 def clip_norms(model: EncoderModel, theta: float) -> None:
@@ -358,7 +344,7 @@ def encode(model: EncoderModel, x) -> GaussianLatent:
     batched = x.data.ndim == 4
     h = x if batched else x.reshape(1, *x.shape)
     for li, (spec, p) in enumerate(zip(model.layers[:-2], model.params)):
-        w = model._folded_kernel(li) if model.frozen else standardize(p["w"], spec.gain)
+        w = model._folded[li] if model.frozen else standardize(p["w"], spec.gain)
         h = conv2d(h, w, stride=spec.stride, padding=spec.padding)
         h = h + p["b"].reshape(1, -1, 1, 1)
         h = h.leaky_relu(spec.slope)
@@ -391,12 +377,11 @@ def split_latent(latent: GaussianLatent, sizes: list) -> list:
             for end, k in zip(np.cumsum(sizes), sizes)]
 
 
-def sample(latent: GaussianLatent, eps) -> Tensor:
-    """Reparameterized draw a = eps * sigma + mu from a Gaussian latent, with
-    sigma the standard deviation exp(logvar/2) and `eps` the standard normal
-    draws.  The result is a constant (off-tape) tensor.
-    """
-    return Tensor(eps * np.exp(latent.logvar.data / 2.0) + latent.mu.data)
+def sample(mu: np.ndarray, logvar: np.ndarray, eps) -> np.ndarray:
+    """Reparameterized draw a = eps * sigma + mu from the Gaussian (mu,
+    logvar) arrays, with sigma the standard deviation exp(logvar/2) and `eps`
+    the standard normal draws; an array, off the tape."""
+    return eps * np.exp(logvar / 2.0) + mu
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +438,7 @@ def load_weights(path: str) -> EncoderModel:
     # checked after the header parses, so that a damaged header is named as such
     if blob[-4:] != struct.pack("<I", zlib.crc32(memoryview(blob)[:-4])):
         raise CorruptWeightsError(f"{path}: checksum mismatch")
-    payload = blob[12 + hlen:-4]
+    payload = memoryview(blob)[12 + hlen:-4]
     off = 0
 
     def read(shape):

@@ -11,7 +11,6 @@ import numpy as np
 
 from .data import FactorDataset
 from .encoder import EncoderModel, encode, encode_batched
-from .tensor import Tensor
 from . import ood
 
 
@@ -74,8 +73,7 @@ def latency_benchmark(model: EncoderModel, images: np.ndarray,
     for r in range(runs):
         raw = byte_imgs[r % len(byte_imgs)]
         t0 = time.perf_counter()
-        x = Tensor(raw.astype(np.float64) / 255.0)
-        encode(model, x)
+        encode(model, raw.astype(np.float64) / 255.0)
         times.append(time.perf_counter() - t0)
     times = np.array(times)
     return {

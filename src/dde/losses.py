@@ -27,7 +27,7 @@ def distill_loss(teacher, student) -> Tensor:
 
 def mutual_info(a, mu, logvar) -> Tensor:
     """I = -1/2 * [ logvar + (a - mu)^2 / exp(logvar) ], elementwise."""
-    a, mu, logvar = map(_as_tensor, (a, mu, logvar))
+    mu, logvar = map(_as_tensor, (mu, logvar))
     return (logvar + (a - mu) ** 2 / logvar.exp()) * -0.5
 
 

@@ -139,15 +139,8 @@ def auroc(scores, labels) -> float:
     n_ood = int((~labels).sum())
     if n_id == 0 or n_ood == 0:
         raise ContractError("auroc needs both ID and OOD samples")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0   # average rank, 1-based
-        i = j + 1
+    # a tie group's average 1-based rank: its last rank minus half its spread
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     r_id = ranks[labels].sum()
     return float((r_id - n_id * (n_id + 1) / 2.0) / (n_id * n_ood))

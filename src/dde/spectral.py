@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, ContractError
+from .tensor import ContractError
 from .data import chi_of_dataset
 
 
@@ -35,7 +35,7 @@ class RademacherBound:
 
 
 def _as_kernel(kernel) -> np.ndarray:
-    k = kernel.data if isinstance(kernel, Tensor) else np.asarray(kernel, dtype=np.float64)
+    k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 4:
         raise ContractError("kernel must have shape (C_out, C_in, k, k)")
     return k

@@ -41,13 +41,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """N-dimensional float64 array, optionally participating in the grad tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward", "_op")
+    # numpy defers to the reflected operators, so `array * t` is `t.__rmul__`
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         _check_finite(self.data, _op)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self.grad = None
         self._parents = _parents if self.requires_grad else ()
         self._backward = None
         self._op = _op
@@ -75,7 +76,7 @@ class Tensor:
         out = Tensor(self.data + od, _parents=(self, *op), _op="add")
 
         def bw(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(g, od.shape)
+            return (_unbroadcast(g, self.shape), *(_unbroadcast(g, od.shape) for _ in op))
 
         out._backward = bw
         return out
@@ -100,7 +101,7 @@ class Tensor:
 
         def bw(g):
             return (_unbroadcast(g * od, self.shape),
-                    _unbroadcast(g * self.data, od.shape))
+                    *(_unbroadcast(g * self.data, od.shape) for _ in op))
 
         out._backward = bw
         return out
@@ -113,7 +114,7 @@ class Tensor:
 
         def bw(g):
             return (_unbroadcast(g / od, self.shape),
-                    _unbroadcast(-g * self.data / od ** 2, od.shape))
+                    *(_unbroadcast(-g * self.data / od ** 2, od.shape) for _ in op))
 
         out._backward = bw
         return out
@@ -128,16 +129,10 @@ class Tensor:
         return out
 
     def __matmul__(self, other):
-        other = _as_tensor(other)
-        out = Tensor(self.data @ other.data, _parents=(self, other), _op="matmul")
+        return _matmul(self, other)
 
-        def bw(g):
-            ga = g @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ g
-            return _unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape)
-
-        out._backward = bw
-        return out
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     # -- elementwise functions ------------------------------------------
 
@@ -224,19 +219,14 @@ class Tensor:
                      _parents=(self,), _op="sum")
 
         def bw(g):
-            if axis is None:
-                return (np.broadcast_to(g, self.shape).copy(),)
-            g2 = g if keepdims else np.expand_dims(g, axis)
+            g2 = g if axis is None or keepdims else np.expand_dims(g, axis)
             return (np.broadcast_to(g2, self.shape).copy(),)
 
         out._backward = bw
         return out
 
     def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.size
-        else:
-            n = self.shape[axis]
+        n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
@@ -246,25 +236,40 @@ def _as_tensor(x) -> Tensor:
 
 def _operand(x):
     """(data, parents) of an operand.  A constant is no parent, so it puts no
-    leaf on the tape, and `grad` drops the gradient a backward returns for it."""
+    leaf on the tape, and a backward computes no gradient for it."""
     if isinstance(x, Tensor):
         return x.data, (x,)
     return np.asarray(x, dtype=np.float64), ()
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def _matmul(a, b) -> Tensor:
+    """a @ b where either side may be a constant."""
+    (ad, ap), (bd, bp) = _operand(a), _operand(b)
+    out = Tensor(ad @ bd, _parents=(*ap, *bp), _op="matmul")
+
+    def bw(g):
+        return (*(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) for _ in ap),
+                *(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) for _ in bp))
+
+    out._backward = bw
+    return out
+
+
+def conv2d(x: Tensor, w, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) on CHW or BCHW input.
 
-    x: Tensor[C_in,H,W] or Tensor[B,C_in,H,W]; w: Tensor[C_out,C_in,k,k].
+    x: Tensor[C_in,H,W] or Tensor[B,C_in,H,W]; w: [C_out,C_in,k,k], a Tensor
+    or a constant array, which gets no gradient.
     """
     if stride < 1:
         raise ContractError("stride must be >= 1")
+    wdat, wp = _operand(w)
     squeeze = x.data.ndim == 3
     xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or w.data.ndim != 4:
+    if xd.ndim != 4 or wdat.ndim != 4:
         raise ContractError("conv2d expects (B,)CHW input and OIkk kernel")
     b, cin, h, wd_ = xd.shape
-    cout, cin_k, kh, kw = w.data.shape
+    cout, cin_k, kh, kw = wdat.shape
     if cin != cin_k:
         raise ContractError(f"channel mismatch: input {cin} vs kernel {cin_k}")
     if kh > h + 2 * padding or kw > wd_ + 2 * padding:
@@ -281,17 +286,17 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         xp, (b, cin, ho, wo, kh, kw),
         (sb, sc, sh * stride, sw * stride, sh, sw), writeable=False)
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, cin * kh * kw)
-    wflat = w.data.reshape(cout, -1)
+    wflat = wdat.reshape(cout, -1)
     out_d = (cols @ wflat.T).transpose(0, 2, 1).reshape(b, cout, ho, wo)
 
-    out = Tensor(out_d[0] if squeeze else out_d, _parents=(x, w), _op="conv2d")
+    out = Tensor(out_d[0] if squeeze else out_d, _parents=(x, *wp), _op="conv2d")
 
     def bw(g):
         gd = g[None] if squeeze else g
         gcols = gd.reshape(b, cout, ho * wo).transpose(0, 2, 1)   # (B, P, Cout)
-        gw = np.einsum("bpo,bpk->ok", gcols, cols).reshape(w.data.shape)
+        gw = [np.einsum("bpo,bpk->ok", gcols, cols).reshape(wdat.shape) for _ in wp]
         if not x.requires_grad:
-            return (None, gw)
+            return (None, *gw)
         gx_cols = gcols @ wflat                                   # (B, P, Cin*kh*kw)
         gwin = gx_cols.reshape(b, ho, wo, cin, kh, kw)
         gxp = np.zeros_like(xp)
@@ -302,14 +307,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                 gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
                     gwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
         gx = gxp[:, :, padding:padding + h, padding:padding + wd_]
-        return (gx[0] if squeeze else gx, gw)
+        return (gx[0] if squeeze else gx, *gw)
 
     out._backward = bw
     return out
 
 
 def grad(scalar: Tensor, leaves) -> list:
-    """Return d(scalar)/d(leaf) for each leaf by reverse replay of the tape."""
+    """d(scalar)/d(leaf), an array, for each leaf by reverse replay of the tape."""
     if scalar.shape != ():
         raise ContractError("grad root must be a rank-0 tensor")
 
@@ -339,11 +344,8 @@ def grad(scalar: Tensor, leaves) -> list:
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
 
-    out = []
-    for leaf in leaves:
-        g = grads.get(id(leaf))
-        out.append(Tensor(np.zeros(leaf.shape) if g is None else g))
-    return out
+    return [grads[id(leaf)] if id(leaf) in grads else np.zeros(leaf.shape)
+            for leaf in leaves]
 
 
 @dataclass
@@ -363,10 +365,10 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, applied in place to params."""
+    """One bias-corrected Adam update of params in place, from array grads."""
     state.ensure(params)
     for g in grads:
-        if not np.all(np.isfinite(g.data)):
+        if not np.all(np.isfinite(g)):
             raise NumericError("adam_step received non-finite gradients")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -374,9 +376,9 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     c2 = 1.0 - b2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= b1
-        m += (1.0 - b1) * g.data
+        m += (1.0 - b1) * g
         v *= b2
-        v += (1.0 - b2) * g.data ** 2
+        v += (1.0 - b2) * g ** 2
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 

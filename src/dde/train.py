@@ -172,7 +172,7 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
         groups = [xs, *(ix for f in factors for ix in pairs[f])]
         s_lat, *pair_lats = split_latent(
             encode(student, images[np.concatenate(groups)]), [len(g) for g in groups])
-        t_lat = _const_latent(t_mu[xs], t_lv[xs])
+        t_lat = GaussianLatent(Tensor(t_mu[xs]), Tensor(t_lv[xs]))
         ld = bounded(distill_loss(t_lat, s_lat), "D")        # (b,)
         total = ld
         hinges = {}
@@ -180,8 +180,8 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
             ia, ib = pairs[f]
             # one epsilon per pair, shared across (x, x')
             eps = rng.normal((b, n))
-            a = sample(_const_latent(t_mu[ia], t_lv[ia]), eps=eps)
-            a2 = sample(_const_latent(t_mu[ib], t_lv[ib]), eps=eps)
+            a = sample(t_mu[ia], t_lv[ia], eps)
+            a2 = sample(t_mu[ib], t_lv[ib], eps)
             # each side's pointwise MI, shared by both constraint losses
             mi = mutual_info(a, sl.mu, sl.logvar)
             mi2 = mutual_info(a2, sl2.mu, sl2.logvar)
@@ -225,10 +225,6 @@ def distill(teacher: EncoderModel, dataset: FactorDataset, config: TrainConfig):
                 break
 
     return student, trace
-
-
-def _const_latent(mu: np.ndarray, lv: np.ndarray):
-    return GaussianLatent(Tensor(mu), Tensor(lv))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +287,12 @@ def train_teacher(dataset: FactorDataset, config: TeacherConfig) -> EncoderModel
         groups = [xs, *(ix for f in factors for ix in pairs[f])]
         lat, *pair_lats = split_latent(
             encode(model, images[np.concatenate(groups)]), [len(g) for g in groups])
-        eps = Tensor(rng.normal((b, n)))
+        eps = rng.normal((b, n))
         z = lat.mu + eps * (lat.logvar * 0.5).exp()
         hid = (z @ dw1.T + db1).leaky_relu(0.2)
         recon = hid @ dw2.T + db2
         target = images[xs].reshape(b, -1)
-        mse = ((recon - Tensor(target)) ** 2).mean()
+        mse = ((recon - target) ** 2).mean()
         v = lat.logvar.exp()
         kl = ((lat.mu ** 2 + v - 1.0 - lat.logvar).sum(axis=-1) * 0.5).mean()
         loss = config.recon_weight * mse + config.kl_weight * kl

@@ -177,7 +177,7 @@ class TestHinge:
     def test_subgradient_zero_at_kink(self):
         x = Tensor(np.array([0.1, 0.5, -1.0]), requires_grad=True)
         (g,) = grad(hinge(x, 0.1).sum(), [x])
-        assert np.allclose(g.data, [0.0, 1.0, 0.0])
+        assert np.allclose(g, [0.0, 1.0, 0.0])
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ContractError):

@@ -15,11 +15,12 @@ def check_grad(build, x0, tol=1e-4, h=1e-5):
     """build(Tensor) -> scalar Tensor; compares reverse-mode to central FD."""
     x = Tensor(np.asarray(x0, dtype=np.float64), requires_grad=True)
     (g,) = grad(build(x), [x])
+    assert type(g) is np.ndarray
 
     def f(arr):
         return build(Tensor(arr)).item()
 
-    assert rel_err(g.data, fd_grad(f, x0, h=h)) <= tol
+    assert rel_err(g, fd_grad(f, x0, h=h)) <= tol
 
 
 class TestElementwiseGrads:
@@ -55,7 +56,7 @@ class TestElementwiseGrads:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         (g,) = grad((x.take([0, 2], axis=-1) ** 2).sum(), [x])
         expected = np.array([[0.0, 0.0, 4.0], [6.0, 0.0, 10.0]])
-        assert np.allclose(g.data, expected)
+        assert np.allclose(g, expected)
 
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_take_grad_repeated_index_matches_loop(self, axis):
@@ -72,7 +73,7 @@ class TestElementwiseGrads:
             gsl = [slice(None)] * 3
             gsl[axis] = j
             want[tuple(sl)] += up[tuple(gsl)]
-        assert np.array_equal(g.data, want)
+        assert np.array_equal(g, want)
 
 
 class TestBroadcastGrads:
@@ -82,8 +83,8 @@ class TestBroadcastGrads:
         a = Tensor(a0, requires_grad=True)
         b = Tensor(b0, requires_grad=True)
         ga, gb = grad(((a + b) ** 2).sum(), [a, b])
-        assert rel_err(ga.data, fd_grad(lambda v: (((v + b0) ** 2).sum()), a0)) <= 1e-4
-        assert rel_err(gb.data, fd_grad(lambda v: (((a0 + v) ** 2).sum()), b0)) <= 1e-4
+        assert rel_err(ga, fd_grad(lambda v: (((v + b0) ** 2).sum()), a0)) <= 1e-4
+        assert rel_err(gb, fd_grad(lambda v: (((a0 + v) ** 2).sum()), b0)) <= 1e-4
 
     def test_matmul_grads(self):
         a0 = np.arange(6.0).reshape(2, 3) / 7.0
@@ -91,44 +92,57 @@ class TestBroadcastGrads:
         a = Tensor(a0, requires_grad=True)
         b = Tensor(b0, requires_grad=True)
         ga, gb = grad(((a @ b) ** 2).sum(), [a, b])
-        assert rel_err(ga.data, fd_grad(lambda v: ((v @ b0) ** 2).sum(), a0)) <= 1e-4
-        assert rel_err(gb.data, fd_grad(lambda v: ((a0 @ v) ** 2).sum(), b0)) <= 1e-4
+        assert rel_err(ga, fd_grad(lambda v: ((v @ b0) ** 2).sum(), a0)) <= 1e-4
+        assert rel_err(gb, fd_grad(lambda v: ((a0 @ v) ** 2).sum(), b0)) <= 1e-4
 
 
-def _leaves(t):
-    """The tensors that have no parent, reached from `t` along the tape."""
+def _nodes(t):
+    """Every tensor reached from `t` along the tape, `t` included."""
     seen, stack, out = set(), [t], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            out += [node] if not node._parents else []
+            out.append(node)
             stack.extend(node._parents)
     return out
 
 
+def _leaves(t):
+    """The tensors that have no parent, reached from `t` along the tape."""
+    return [node for node in _nodes(t) if not node._parents]
+
+
 class TestConstantOperands:
-    # a number on either side of + - * /, or an array on the right, joins no
-    # tape, and the value and gradient equal those with the constant wrapped
-    # as a leaf
+    # a number or an array on either side of + - * / and @ joins no tape,
+    # each backward returns one gradient per parent, and the value and
+    # gradient equal those with the constant wrapped as a leaf
     OPS = {"add": lambda x, c: x + c, "radd": lambda x, c: c + x,
            "sub": lambda x, c: x - c, "rsub": lambda x, c: c - x,
            "mul": lambda x, c: x * c, "rmul": lambda x, c: c * x,
-           "div": lambda x, c: x / c}
-    CASES = ([(name, 0.3) for name in sorted(OPS)]
-             + [(name, np.array([1.5, -2.0, 0.7])) for name in ("add", "sub", "mul", "div")])
+           "div": lambda x, c: x / c,
+           "matmul": lambda x, c: x @ c, "rmatmul": lambda x, c: c @ x}
+    CASES = ([(name, 0.3) for name in sorted(OPS) if "matmul" not in name]
+             + [(name, np.array([1.5, -2.0, 0.7])) for name in ("add", "sub", "mul", "div")]
+             + [(name, np.array([1.5, -2.0, 0.7])) for name in ("radd", "rmul", "rsub")]
+             + [(name, np.array([[1.5, -2.0], [0.7, 0.2]])) for name in ("matmul", "rmatmul")])
 
     @pytest.mark.parametrize("name,const", CASES)
     def test_no_leaf_and_same_numbers(self, name, const):
-        x0 = np.array([0.4, -1.3, 2.2])
+        x0 = (np.array([[0.4, -1.3], [2.2, 0.5]]) if "matmul" in name
+              else np.array([0.4, -1.3, 2.2]))
         got, wrapped = [], []
         for c, into in ((const, got), (Tensor(const), wrapped)):
             x = Tensor(x0, requires_grad=True)
             out = self.OPS[name](x, c) ** 2
+            assert isinstance(out, Tensor)
             if into is got:
                 assert len(_leaves(out)) == 1 and _leaves(out)[0] is x
+            for node in _nodes(out):
+                if node._parents:
+                    assert len(node._backward(np.ones(node.shape))) == len(node._parents)
             (g,) = grad(out.sum(), [x])
-            into += [out.data, g.data]
+            into += [out.data, g]
         for a, b in zip(got, wrapped):
             assert np.array_equal(a, b)
 
@@ -164,8 +178,8 @@ class TestConv2d:
         def fw(v):
             return float((conv2d_naive(x0, v, 2, 1) ** 2).sum())
 
-        assert rel_err(gx.data, fd_grad(fx, x0)) <= 1e-4
-        assert rel_err(gw.data, fd_grad(fw, w0)) <= 1e-4
+        assert rel_err(gx, fd_grad(fx, x0)) <= 1e-4
+        assert rel_err(gw, fd_grad(fw, w0)) <= 1e-4
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
@@ -181,16 +195,39 @@ class TestConv2d:
         up = rng.normal(out.shape)
         gx, gw = grad((out * up).sum(), [x, w])
         want = conv2d_input_grad_addat(up, w0, shape, stride, padding)
-        assert np.array_equal(gx.data, want)
+        assert np.array_equal(gx, want)
 
         # an input off the tape gets no gradient, the kernel the same one
         x_const = Tensor(x0)
         out2 = conv2d(x_const, w, stride=stride, padding=padding)
         gx2, gw2 = out2._backward(up)
         assert gx2 is None
-        assert np.array_equal(gw2, gw.data)
+        assert np.array_equal(gw2, gw)
         (gw3,) = grad((out2 * up).sum(), [w])
-        assert np.array_equal(gw3.data, gw.data)
+        assert np.array_equal(gw3, gw)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_array_kernel_same_bits_no_kernel_grad(self, stride, padding, batched):
+        # a constant kernel is no parent: the output and the input gradient
+        # keep their bits, and the backward returns the input gradient only
+        rng = Rng(6)
+        x0, w0 = rng.normal((2, 3, 7, 6) if batched else (3, 7, 6)), rng.normal((4, 3, 3, 3))
+        outs, gxs = [], []
+        for w in (w0, Tensor(w0)):
+            x = Tensor(x0, requires_grad=True)
+            out = conv2d(x, w, stride=stride, padding=padding)
+            up = Rng(7).normal(out.shape)
+            (gx,) = grad((out * up).sum(), [x])
+            outs.append(out.data)
+            gxs.append(gx)
+            assert len(out._backward(up)) == len(out._parents)
+        assert out._parents[1] is w and len(out._parents) == 2
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(gxs[0], gxs[1])
+        x = Tensor(x0, requires_grad=True)
+        const = conv2d(x, w0, stride=stride, padding=padding)
+        assert const._parents == (x,)
 
 
 class TestGradContract:
@@ -203,7 +240,7 @@ class TestGradContract:
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(2.0, requires_grad=True)
         (gy,) = grad((x * x).sum(), [y])
-        assert np.allclose(gy.data, 0.0)
+        assert np.allclose(gy, 0.0)
 
     def test_tape_freed_without_cycle_collector(self):
         # the backward closures must not refer back to their own node, or a
@@ -237,27 +274,20 @@ class TestAdam:
         st = AdamState()
         got = []
         for g in grads:
-            adam_step([p], [Tensor(np.array(g))], st, 0.1)
+            adam_step([p], [np.array(g)], st, 0.1)
             got.append(float(p.data))
         assert np.allclose(got, want, atol=1e-12)
 
     def test_first_step_is_lr_sized(self):
         # bias correction makes step one approximately lr * sign(g)
         p = Tensor(np.array(0.0), requires_grad=True)
-        adam_step([p], [Tensor(np.array(0.5))], AdamState(), 0.01)
+        adam_step([p], [np.array(0.5)], AdamState(), 0.01)
         assert abs(float(p.data) + 0.01) < 1e-6
 
     def test_rejects_nonfinite_grad(self):
         p = Tensor(np.array(0.0), requires_grad=True)
-        bad = Tensor.__new__(Tensor)
-        bad.data = np.array(np.nan)
-        bad.requires_grad = False
-        bad.grad = None
-        bad._parents = ()
-        bad._backward = None
-        bad._op = "leaf"
         with pytest.raises(NumericError):
-            adam_step([p], [bad], AdamState(), 0.01)
+            adam_step([p], [np.array(np.nan)], AdamState(), 0.01)
 
 
 class TestRng:

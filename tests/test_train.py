@@ -258,7 +258,7 @@ class TestOneEncodePerBatch:
                     _encode_each_group(m)
                 got = steps[how] = []
                 _spy(m, "adam_step", lambda params, grads, *_: got.append(
-                    [g.data.copy() for g in grads]))
+                    [g.copy() for g in grads]))
                 _run_loop(loop, tiny_teacher, tiny_dataset)
         fused, separate = steps["one call"][0], steps["each group"][0]
         assert len(fused) == len(separate) > 0
